@@ -80,9 +80,9 @@ TableBench bench_table(const dp::DPModel& model,
 
   TableBench out;
   double sink = 0.0;
-  // Min-of-repeats, interleaved like the fused_table rung: this VM's timer
-  // noise used to land entirely on whichever leg ran second, so a single
-  // shot could report half the real speedup.
+  // Min-of-repeats, interleaved: this VM's timer noise used to land
+  // entirely on whichever leg ran second, so a single shot could report
+  // half the real speedup.
   for (int i = 0; i < rows; ++i) table.eval(s[i], g.data(), dg.data());
   for (int i = 0; i < rows; ++i) table.eval_row(s[i], g.data(), dg.data());
   for (int rep = 0; rep < repeats; ++rep) {
@@ -110,131 +110,18 @@ TableBench bench_table(const dp::DPModel& model,
   return out;
 }
 
-/// Per-block slab workspaces of the unfused table+contraction phase — what
-/// batch_impl allocates around the G/dG slabs, reproduced here so the phase
-/// can be timed in isolation (and against the fused drivers, which need
-/// none of it beyond A and the fitting slabs).
-struct SlabWork {
-  std::vector<double> g;     // rows x m1
-  std::vector<double> dgds;  // rows x m1
-  std::vector<double> dg;    // rows x m1
-  std::vector<double> dr;    // rows x 4
-  std::vector<double> ds;    // rows
-  std::vector<double> a;     // B x 4 x m1
-  std::vector<Vec3> dedd;    // rows
-  std::vector<std::vector<double>> fit;  // per type: fc x m1*m2
-  std::vector<std::vector<double>> dd;   // per type: fc x m1*m2 (ones)
-  std::vector<const double*> g_base, dd_base;
-  std::vector<double*> fit_base, dg_base;
-};
-
-SlabWork make_slab_work(const dp::AtomEnvBatch& b, int m1, int m2) {
-  SlabWork w;
-  const std::size_t rows = static_cast<std::size_t>(b.rows());
-  w.g.resize(rows * m1);
-  w.dgds.resize(rows * m1);
-  w.dg.resize(rows * m1);
-  w.dr.resize(rows * 4);
-  w.ds.resize(rows);
-  w.a.resize(static_cast<std::size_t>(b.natoms) * 4 * m1);
-  w.dedd.resize(rows);
-  w.fit.resize(static_cast<std::size_t>(b.ntypes));
-  w.dd.resize(static_cast<std::size_t>(b.ntypes));
-  w.g_base.resize(static_cast<std::size_t>(b.ntypes));
-  w.dd_base.resize(static_cast<std::size_t>(b.ntypes));
-  w.fit_base.resize(static_cast<std::size_t>(b.ntypes));
-  w.dg_base.resize(static_cast<std::size_t>(b.ntypes));
-  for (int t = 0; t < b.ntypes; ++t) {
-    const int fc = b.fit_type_offset[static_cast<std::size_t>(t) + 1] -
-                   b.fit_type_offset[static_cast<std::size_t>(t)];
-    w.fit[static_cast<std::size_t>(t)].resize(
-        static_cast<std::size_t>(fc) * m1 * m2);
-    // Synthetic dE/dD = 1: a fixed, full-rank stand-in for the fitting
-    // net's input gradient, identical for both pipelines.
-    w.dd[static_cast<std::size_t>(t)].assign(
-        static_cast<std::size_t>(fc) * m1 * m2, 1.0);
-    const int lo = b.type_offset[static_cast<std::size_t>(t)];
-    w.g_base[static_cast<std::size_t>(t)] =
-        w.g.data() + static_cast<std::size_t>(lo) * m1;
-    w.dg_base[static_cast<std::size_t>(t)] =
-        w.dg.data() + static_cast<std::size_t>(lo) * m1;
-    w.dd_base[static_cast<std::size_t>(t)] =
-        w.dd[static_cast<std::size_t>(t)].data();
-    w.fit_base[static_cast<std::size_t>(t)] =
-        w.fit[static_cast<std::size_t>(t)].data();
-  }
-  return w;
-}
-
-/// The unfused table sweep: eval_row over every packed row into the G/dG
-/// slabs, exactly as batch_impl's slab path performs it.
-void slab_table_sweep(const dp::AtomEnvBatch& b,
-                      const std::vector<dp::CompressedEmbedding>& tables,
-                      SlabWork& w, int m1) {
-  for (int t = 0; t < b.ntypes; ++t) {
-    const int lo = b.type_offset[static_cast<std::size_t>(t)];
-    const int hi = b.type_offset[static_cast<std::size_t>(t) + 1];
-    for (int r = lo; r < hi; ++r) {
-      tables[static_cast<std::size_t>(t)].eval_row(
-          b.rmat[static_cast<std::size_t>(r) * 4],
-          w.g.data() + static_cast<std::size_t>(r) * m1,
-          w.dgds.data() + static_cast<std::size_t>(r) * m1);
-    }
-  }
-}
-
-/// The unfused chain tail: dE/ds through the table derivative, then the
-/// fp64 chain rule to dE/dd — the loops the fused backward folds away.
-void slab_chain_tail(const dp::AtomEnvBatch& b, SlabWork& w, int m1) {
-  const int B = b.natoms;
-  for (int t = 0; t < b.ntypes; ++t) {
-    for (int a = 0; a < B; ++a) {
-      const int seg_lo = b.seg_offset[static_cast<std::size_t>(t) * B + a];
-      const int seg_end = seg_lo + b.active_rows(t, a);
-      for (int r = seg_lo; r < seg_end; ++r) {
-        const double* dgrow = w.dg.data() + static_cast<std::size_t>(r) * m1;
-        const double* dgdsrow =
-            w.dgds.data() + static_cast<std::size_t>(r) * m1;
-        double acc = 0;
-        for (int p = 0; p < m1; ++p) acc += dgrow[p] * dgdsrow[p];
-        w.ds[static_cast<std::size_t>(r)] = acc;
-        const double* der =
-            b.drmat.data() + static_cast<std::size_t>(r) * 12;
-        const double* drrow = w.dr.data() + static_cast<std::size_t>(r) * 4;
-        Vec3 grad{0, 0, 0};
-        for (int axis = 0; axis < 3; ++axis) {
-          double s = acc * der[axis];
-          for (int c = 0; c < 4; ++c) s += drrow[c] * der[c * 3 + axis];
-          grad[axis] = s;
-        }
-        w.dedd[static_cast<std::size_t>(r)] = grad;
-      }
-    }
-  }
-}
-
 /// Per-phase breakdown of one batched water-256 force evaluation: packed
 /// env build (the rebuild-step cost) vs position-only refresh (the
-/// steady-state cost), table sweep, the slab contraction (the M = 4 GEMMs
-/// fused away by ISSUE 5), and the remainder of evaluate_batch.
+/// steady-state cost), then the production pipeline's stages on the same
+/// blocks — fused table+contraction forward and backward, the fitting-net
+/// sweep between them — and the remainder of evaluate_sweep.
 struct PhaseBench {
-  double env_build_us = 0.0;    // build_env_batch over all blocks
-  double env_refresh_us = 0.0;  // refresh_env_batch, skinned keep blocks
-  double table_us = 0.0;        // eval_row over all packed rows
-  double contract_us = 0.0;     // slab contraction fwd+bwd (gemm_tn et al.)
-  double fitnet_us = 0.0;       // fitting nets fwd + dE/dD bwd, per block
-  double embed_gemm_us = 0.0;   // eval - table - contract - fitnet remainder
-  double eval_us = 0.0;         // evaluate_batch total (unfused pipeline)
-};
-
-/// Fused-table ablation (ISSUE 5 acceptance rung): the combined
-/// table+contraction phase — forward table -> A -> D and backward dD -> dA
-/// -> force chain with a synthetic dD — timed through the unfused slab
-/// pipeline vs the fused drivers, interleaved, min of `repeats`.
-struct FusedBench {
-  double unfused_us = 0.0;
-  double fused_us = 0.0;
-  double speedup = 0.0;
+  double env_build_us = 0.0;       // build_env_batch over all blocks
+  double env_refresh_us = 0.0;     // refresh_env_batch, skinned keep blocks
+  double table_contract_us = 0.0;  // fused_contract_{forward,backward}_batch
+  double fitnet_us = 0.0;          // fitting sweep fwd + dE/dD bwd
+  double rest_us = 0.0;            // eval - table_contract - fitnet
+  double eval_us = 0.0;            // evaluate_sweep over all blocks
 };
 
 /// Fitting-net fast-path ablation (ISSUE 9): the 240^3 fitting stage —
@@ -250,8 +137,7 @@ struct FitnetBench {
 PhaseBench bench_phases(const std::shared_ptr<dp::DPModel>& model,
                         const md::Atoms& atoms_in, const md::Box& box,
                         const md::NeighborList& list, double skin, int reps,
-                        FusedBench& fused_out, FitnetBench& fitnet_out,
-                        int fused_repeats) {
+                        FitnetBench& fitnet_out, int repeats) {
   const auto& cfg = model->config();
   md::Atoms atoms = atoms_in;
   const int B = kBlock;
@@ -291,155 +177,136 @@ PhaseBench bench_phases(const std::shared_ptr<dp::DPModel>& model,
       }
     }
     out.env_refresh_us = sw.elapsed_us() / reps;
-    // Rebuild the skinless filtered blocks for the table/GEMM legs below.
+    // Rebuild the skinless filtered blocks for the stage legs below.
     build_all(atoms, list, false);
   }
 
-  const double s_max = 4.0 / cfg.descriptor.rcut_smth;
-  std::vector<dp::CompressedEmbedding> tables;
-  for (int t = 0; t < cfg.ntypes; ++t) {
-    tables.push_back(dp::CompressedEmbedding::build(
-        model->embedding(t),
-        {0.0, s_max * cfg.descriptor.scale_of(t, 0), 1024}));
-  }
+  // The evaluator's own pack supplies the tables, so the stage legs run on
+  // exactly the operands evaluate_sweep does.
+  dp::DPEvaluator ev(model, dp::EvalOptions{});
+  const auto& tables = ev.pack()->tables();
+  const int ntypes = cfg.ntypes;
   const int m1 = cfg.descriptor.m1();
   const int m2 = cfg.descriptor.m2();
   const double inv_n = 1.0 / cfg.descriptor.sel_total();
-  std::vector<SlabWork> work;
-  for (const auto& blk : blocks) work.push_back(make_slab_work(blk, m1, m2));
+  const std::size_t nb = blocks.size();
+  const auto nt = static_cast<std::size_t>(ntypes);
+  const auto fit_count = [&](std::size_t b, int t) {
+    return blocks[b].fit_type_offset[static_cast<std::size_t>(t) + 1] -
+           blocks[b].fit_type_offset[static_cast<std::size_t>(t)];
+  };
+  // Per block: the A slab, one fitting cache per center type (the fused
+  // forward writes D straight into its input rows), the dE/dd rows.
+  std::vector<std::vector<nn::MlpCache<double>>> fcache(
+      nb, std::vector<nn::MlpCache<double>>(nt));
+  std::vector<std::vector<double>> a_slab(nb);
+  std::vector<std::vector<Vec3>> dedd(nb);
+  for (std::size_t b = 0; b < nb; ++b) {
+    a_slab[b].resize(static_cast<std::size_t>(blocks[b].natoms) * 4 * m1);
+    dedd[b].resize(static_cast<std::size_t>(blocks[b].rows()));
+  }
 
-  const auto unfused_pass = [&]() {
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      const auto& blk = blocks[b];
-      SlabWork& w = work[b];
-      slab_table_sweep(blk, tables, w, m1);
-      std::fill(w.a.begin(), w.a.end(), 0.0);
-      dp::contract_forward_batch(blk, blk.rmat.data(), w.g_base.data(),
-                                 nullptr, m1, m2, inv_n, w.a.data(),
-                                 w.fit_base.data());
-      std::fill(w.dg.begin(), w.dg.end(), 0.0);
-      dp::contract_backward_batch(blk, blk.rmat.data(), w.g_base.data(),
-                                  nullptr, w.dd_base.data(), m1, m2, inv_n,
-                                  w.a.data(), w.dg_base.data(), w.dr.data());
-      slab_chain_tail(blk, w, m1);
+  const auto contract_forward = [&] {
+    std::vector<double*> fit_slab(nt);
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (int t = 0; t < ntypes; ++t) {
+        const int fc = fit_count(b, t);
+        fit_slab[static_cast<std::size_t>(t)] =
+            fc > 0 ? model->fitting(t).batch_input(
+                         fc, fcache[b][static_cast<std::size_t>(t)])
+                   : nullptr;
+      }
+      std::fill(a_slab[b].begin(), a_slab[b].end(), 0.0);
+      dp::fused_contract_forward_batch(blocks[b], tables, m1, m2, inv_n,
+                                       a_slab[b].data(), fit_slab.data());
     }
   };
-  const auto fused_pass = [&]() {
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      const auto& blk = blocks[b];
-      SlabWork& w = work[b];
-      std::fill(w.a.begin(), w.a.end(), 0.0);
-      dp::fused_contract_forward_batch(blk, tables, m1, m2, inv_n,
-                                       w.a.data(), w.fit_base.data());
-      dp::fused_contract_backward_batch(blk, tables, w.dd_base.data(), m1,
-                                        m2, inv_n, w.a.data(),
-                                        w.dedd.data());
+  std::vector<nn::MlpSweepItem<double>> items;
+  const auto fit_sweep = [&] {
+    for (int t = 0; t < ntypes; ++t) {
+      items.clear();
+      for (std::size_t b = 0; b < nb; ++b) {
+        const int fc = fit_count(b, t);
+        if (fc > 0) items.push_back({fc, &fcache[b][static_cast<std::size_t>(t)]});
+      }
+      if (items.empty()) continue;
+      const auto& net = model->fitting(t);
+      net.forward_sweep(items.data(), static_cast<int>(items.size()),
+                        nn::GemmKind::Auto, nn::GemmKind::Auto);
+      for (const auto& it : items) {
+        double* dy = net.batch_output_grad(it.m, *it.cache);
+        std::fill_n(dy, it.m, 1.0);
+      }
+      net.backward_sweep(items.data(), static_cast<int>(items.size()),
+                         nn::GemmKind::Auto);
     }
   };
-
-  {
-    // Table sweep over every packed row, as the unfused path performs it.
-    slab_table_sweep(blocks[0], tables, work[0], m1);  // warm
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        slab_table_sweep(blocks[b], tables, work[b], m1);
-      }
-    }
-    out.table_us = sw.elapsed_us() / reps;
-  }
-  {
-    // Slab contraction alone (the PR-2 GEMM cast the fusion replaces):
-    // A/D forward + dA/dG/dR backward over prebuilt G slabs.
-    Stopwatch sw;
-    for (int r = 0; r < reps; ++r) {
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        const auto& blk = blocks[b];
-        SlabWork& w = work[b];
-        std::fill(w.a.begin(), w.a.end(), 0.0);
-        dp::contract_forward_batch(blk, blk.rmat.data(), w.g_base.data(),
-                                   nullptr, m1, m2, inv_n, w.a.data(),
-                                   w.fit_base.data());
-        std::fill(w.dg.begin(), w.dg.end(), 0.0);
-        dp::contract_backward_batch(blk, blk.rmat.data(), w.g_base.data(),
-                                    nullptr, w.dd_base.data(), m1, m2,
-                                    inv_n, w.a.data(), w.dg_base.data(),
-                                    w.dr.data());
-      }
-    }
-    out.contract_us = sw.elapsed_us() / reps;
-  }
-  {
-    // Fitting stage on the real D slabs the contraction just staged:
-    // forward, dy = 1, dE/dD backward — per block (one Mlp call chain per
-    // block, the pre-ISSUE-9 path) vs ONE multi-block sweep per net.
-    std::vector<std::vector<nn::MlpCache<double>>> fcache(
-        static_cast<std::size_t>(cfg.ntypes));
-    for (auto& c : fcache) c.resize(blocks.size());
-    const auto fit_count = [&](std::size_t b, int t) {
-      return blocks[b].fit_type_offset[static_cast<std::size_t>(t) + 1] -
-             blocks[b].fit_type_offset[static_cast<std::size_t>(t)];
-    };
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      for (int t = 0; t < cfg.ntypes; ++t) {
+  const auto fit_perblock = [&] {
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (int t = 0; t < ntypes; ++t) {
         const int fc = fit_count(b, t);
         if (fc == 0) continue;
         const auto& net = model->fitting(t);
-        auto& cache = fcache[static_cast<std::size_t>(t)][b];
-        double* in = net.batch_input(fc, cache);
-        std::copy_n(work[b].fit[static_cast<std::size_t>(t)].data(),
-                    static_cast<std::size_t>(fc) * m1 * m2, in);
+        auto& cache = fcache[b][static_cast<std::size_t>(t)];
+        net.forward_batch(fc, cache, nn::GemmKind::Auto, nn::GemmKind::Auto);
+        double* dy = net.batch_output_grad(fc, cache);
+        std::fill_n(dy, fc, 1.0);
+        net.backward_input_batch(fc, cache, nn::GemmKind::Auto);
       }
     }
-    const auto perblock_pass = [&]() {
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        for (int t = 0; t < cfg.ntypes; ++t) {
-          const int fc = fit_count(b, t);
-          if (fc == 0) continue;
-          const auto& net = model->fitting(t);
-          auto& cache = fcache[static_cast<std::size_t>(t)][b];
-          net.forward_batch(fc, cache, nn::GemmKind::Auto,
-                            nn::GemmKind::Auto);
-          double* dy = net.batch_output_grad(fc, cache);
-          std::fill_n(dy, fc, 1.0);
-          net.backward_input_batch(fc, cache, nn::GemmKind::Auto);
-        }
+  };
+  const auto contract_backward = [&] {
+    std::vector<const double*> dd_base(nt);
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (int t = 0; t < ntypes; ++t) {
+        dd_base[static_cast<std::size_t>(t)] =
+            fit_count(b, t) > 0
+                ? fcache[b][static_cast<std::size_t>(t)].grads[0].data()
+                : nullptr;
       }
-    };
-    std::vector<nn::MlpSweepItem<double>> items;
-    const auto sweep_pass = [&]() {
-      for (int t = 0; t < cfg.ntypes; ++t) {
-        items.clear();
-        for (std::size_t b = 0; b < blocks.size(); ++b) {
-          const int fc = fit_count(b, t);
-          if (fc == 0) continue;
-          items.push_back({fc, &fcache[static_cast<std::size_t>(t)][b]});
-        }
-        if (items.empty()) continue;
-        const auto& net = model->fitting(t);
-        net.forward_sweep(items.data(), static_cast<int>(items.size()),
-                          nn::GemmKind::Auto, nn::GemmKind::Auto);
-        for (const auto& it : items) {
-          double* dy = net.batch_output_grad(it.m, *it.cache);
-          std::fill_n(dy, it.m, 1.0);
-        }
-        net.backward_sweep(items.data(), static_cast<int>(items.size()),
-                           nn::GemmKind::Auto);
-      }
-    };
-    perblock_pass();
-    sweep_pass();  // warm both
-    {
-      Stopwatch sw;
-      for (int r = 0; r < reps; ++r) perblock_pass();
-      out.fitnet_us = sw.elapsed_us() / reps;
+      dp::fused_contract_backward_batch(blocks[b], tables, dd_base.data(), m1,
+                                        m2, inv_n, a_slab[b].data(),
+                                        dedd[b].data());
     }
-    for (int rep = 0; rep < fused_repeats; ++rep) {
+  };
+
+  // Stage and whole-evaluation legs report the median rep: on a shared
+  // host a mean absorbs interference spikes unevenly across the legs, and
+  // the legs are meant to add up to the evaluation.
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  contract_forward();
+  fit_sweep();
+  contract_backward();  // warm
+  {
+    std::vector<double> contract_us, fit_us;
+    for (int r = 0; r < reps; ++r) {
+      Stopwatch sf;
+      contract_forward();
+      const double f_us = sf.elapsed_us();
+      Stopwatch sn;
+      fit_sweep();
+      fit_us.push_back(sn.elapsed_us());
+      Stopwatch sb;
+      contract_backward();
+      contract_us.push_back(f_us + sb.elapsed_us());
+    }
+    out.table_contract_us = median(contract_us);
+    out.fitnet_us = median(fit_us);
+  }
+  {
+    // Fitting stage on the real D slabs the contraction staged: per block
+    // (one Mlp call chain per block, the pre-sweep path) vs ONE
+    // multi-block sweep per net, interleaved min-of-repeats.
+    fit_perblock();
+    for (int rep = 0; rep < repeats; ++rep) {
       Stopwatch sp;
-      for (int r = 0; r < reps; ++r) perblock_pass();
+      for (int r = 0; r < reps; ++r) fit_perblock();
       const double pu = sp.elapsed_us() / reps;
       Stopwatch ss;
-      for (int r = 0; r < reps; ++r) sweep_pass();
+      for (int r = 0; r < reps; ++r) fit_sweep();
       const double su = ss.elapsed_us() / reps;
       if (rep == 0 || pu < fitnet_out.perblock_us) fitnet_out.perblock_us = pu;
       if (rep == 0 || su < fitnet_out.sweep_us) fitnet_out.sweep_us = su;
@@ -447,43 +314,25 @@ PhaseBench bench_phases(const std::shared_ptr<dp::DPModel>& model,
     fitnet_out.speedup = fitnet_out.perblock_us / fitnet_out.sweep_us;
   }
   {
-    // Fused ablation: interleaved min-of-repeats of the combined phase.
-    unfused_pass();
-    fused_pass();  // warm both
-    fused_out.unfused_us = 0.0;
-    fused_out.fused_us = 0.0;
-    for (int rep = 0; rep < fused_repeats; ++rep) {
-      Stopwatch su;
-      for (int r = 0; r < reps; ++r) unfused_pass();
-      const double uu = su.elapsed_us() / reps;
-      Stopwatch sf;
-      for (int r = 0; r < reps; ++r) fused_pass();
-      const double fu = sf.elapsed_us() / reps;
-      if (rep == 0 || uu < fused_out.unfused_us) fused_out.unfused_us = uu;
-      if (rep == 0 || fu < fused_out.fused_us) fused_out.fused_us = fu;
+    // The whole production evaluation the stages above decompose: one
+    // evaluate_sweep over every block (PairDeepMD's sync pass).
+    std::vector<std::vector<double>> energies(nb);
+    std::vector<dp::DPEvaluator::SweepJob> jobs;
+    for (std::size_t b = 0; b < nb; ++b) {
+      jobs.push_back({&blocks[b], &energies[b], &dedd[b]});
     }
-    fused_out.speedup = fused_out.unfused_us / fused_out.fused_us;
-  }
-  {
-    // The breakdown decomposes the *unfused* slab pipeline (table_us and
-    // contract_us are its stages), so the whole-eval reference must run
-    // unfused too — the fused default would skew gemm_us by the fusion
-    // saving.  The fused-vs-unfused comparison lives in the fused_table
-    // rung above, not here.
-    dp::EvalOptions unfused_opts;
-    unfused_opts.fused_table = false;
-    dp::DPEvaluator ev(model, unfused_opts);
-    std::vector<double> energies;
-    std::vector<Vec3> dedd;
-    for (const auto& blk : blocks) ev.evaluate_batch(blk, energies, dedd);
-    Stopwatch sw;
+    const int njobs = static_cast<int>(jobs.size());
+    ev.evaluate_sweep(jobs.data(), njobs);
+    std::vector<double> eval_us;
     for (int r = 0; r < reps; ++r) {
-      for (const auto& blk : blocks) ev.evaluate_batch(blk, energies, dedd);
+      Stopwatch sw;
+      ev.evaluate_sweep(jobs.data(), njobs);
+      eval_us.push_back(sw.elapsed_us());
     }
-    out.eval_us = sw.elapsed_us() / reps;
+    out.eval_us = median(eval_us);
   }
-  out.embed_gemm_us = std::max(
-      0.0, out.eval_us - out.table_us - out.contract_us - out.fitnet_us);
+  out.rest_us =
+      std::max(0.0, out.eval_us - out.table_contract_us - out.fitnet_us);
   return out;
 }
 
@@ -617,7 +466,7 @@ int main(int argc, char** argv) {
   }
   const int reps = smoke ? 2 : 20;
   const int table_reps = smoke ? 2 : 40;
-  const int fused_repeats = smoke ? 1 : 5;
+  const int repeats = smoke ? 1 : 5;
 
   auto model = bench::water256_model();
   const auto& cfg = model->config();
@@ -630,13 +479,11 @@ int main(int argc, char** argv) {
   // Full pair-style timing (env build + evaluation + force scatter), the
   // honest per-step number a simulation would pay.
   const auto time_variant = [&](int block_size, bool compressed,
-                                bool fused_table = true,
                                 dp::FittingPrecision fitprec =
                                     dp::FittingPrecision::Inherit) {
     dp::EvalOptions opts;  // double, GemmKind::Auto
     opts.block_size = block_size;
     opts.compressed = compressed;
-    opts.fused_table = fused_table;
     opts.fitting_precision = fitprec;
     dp::PairDeepMD pair(model, opts);
     md::Atoms work = atoms;
@@ -653,22 +500,11 @@ int main(int argc, char** argv) {
   std::vector<Variant> variants;
   variants.push_back({"per_atom", time_variant(1, true), 0.0});
   variants.push_back({"batched_b64", time_variant(kBlock, true), 0.0});
-  // End-to-end fused ablation (ISSUE 5): identical pipeline with the
-  // unfused slab path selected — the per-step cost of the G/dG slabs plus
-  // the M = 4 contraction GEMMs the fusion removes.
-  variants.push_back({"batched_b64_unfused_table",
-                      time_variant(kBlock, true, /*fused_table=*/false),
-                      0.0});
-  // Reduced-precision fitting rungs (ISSUE 9, §III-B3): fp64 pipeline with
-  // the 240^3 fitting nets in fp32 / bf16-stored weights, energy head and
-  // force chain re-accumulated in fp64.
+  // Reduced-precision fitting rung (§III-B3): fp64 pipeline with
+  // the 240^3 fitting nets in fp32, energy head and force chain
+  // re-accumulated in fp64.
   variants.push_back({"batched_b64_fit_fp32",
-                      time_variant(kBlock, true, true,
-                                   dp::FittingPrecision::Fp32),
-                      0.0});
-  variants.push_back({"batched_b64_fit_bf16",
-                      time_variant(kBlock, true, true,
-                                   dp::FittingPrecision::Bf16),
+                      time_variant(kBlock, true, dp::FittingPrecision::Fp32),
                       0.0});
   // Full-embedding rungs (PR 2): the mode the GEMM-cast descriptor
   // contraction gains the most, tracked since ISSUE 2.
@@ -678,10 +514,8 @@ int main(int argc, char** argv) {
   for (auto& v : variants) v.ns_day_proxy = ns_day_proxy(v.us_per_step);
   const double speedup =
       variants[0].us_per_step / variants[1].us_per_step;
-  const double fused_e2e_speedup =
-      variants[2].us_per_step / variants[1].us_per_step;
   const double fullemb_speedup =
-      variants[5].us_per_step / variants[6].us_per_step;
+      variants[3].us_per_step / variants[4].us_per_step;
 
   // Overlap rung (ISSUE 3): 2-rank DomainEngine on the water-256 cell
   // tiled to 512 atoms, staged DP evaluation with the halo exchange
@@ -699,12 +533,10 @@ int main(int argc, char** argv) {
       s_samples.push_back(probe.rmat[static_cast<std::size_t>(r) * 4]);
     }
   }
-  const TableBench tbl =
-      bench_table(*model, s_samples, table_reps, fused_repeats);
-  FusedBench fused;
+  const TableBench tbl = bench_table(*model, s_samples, table_reps, repeats);
   FitnetBench fitnet;
-  const PhaseBench ph = bench_phases(model, atoms, box, list, 0.6, reps,
-                                     fused, fitnet, fused_repeats);
+  const PhaseBench ph =
+      bench_phases(model, atoms, box, list, 0.6, reps, fitnet, repeats);
   // Cadence 1 runs skinless (the honest rebuild-every-step baseline: no
   // skin is needed if you rebuild anyway); the amortized rungs use the
   // widest skin the water-512 two-rank decomposition admits.
@@ -770,7 +602,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"table_eval\": {\n");
   std::fprintf(f, "    \"m1\": 100, \"bins\": 1024, \"min_of\": %d,\n",
-               fused_repeats);
+               repeats);
   std::fprintf(f, "    \"scalar_ns_per_row\": %.2f,\n", tbl.scalar_ns_per_row);
   std::fprintf(f, "    \"eval_row_ns_per_row\": %.2f,\n", tbl.row_ns_per_row);
   std::fprintf(f, "    \"speedup\": %.2f\n", tbl.speedup);
@@ -780,28 +612,19 @@ int main(int argc, char** argv) {
                   "fp64 compressed\",\n", kBlock);
   std::fprintf(f, "    \"env_build_us\": %.1f,\n", ph.env_build_us);
   std::fprintf(f, "    \"env_refresh_us\": %.1f,\n", ph.env_refresh_us);
-  std::fprintf(f, "    \"table_us\": %.1f,\n", ph.table_us);
-  std::fprintf(f, "    \"contract_us\": %.1f,\n", ph.contract_us);
+  std::fprintf(f, "    \"table_contract_us\": %.1f,\n",
+               ph.table_contract_us);
   std::fprintf(f, "    \"fitnet_us\": %.1f,\n", ph.fitnet_us);
-  std::fprintf(f, "    \"embed_gemm_us\": %.1f,\n", ph.embed_gemm_us);
+  std::fprintf(f, "    \"rest_us\": %.1f,\n", ph.rest_us);
   std::fprintf(f, "    \"eval_us\": %.1f\n", ph.eval_us);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"fitnet\": {\n");
   std::fprintf(f, "    \"system\": \"water-256 fitting stage (240^3, fp64), "
                   "real D slabs, fwd + dE/dD bwd, min of %d interleaved\",\n",
-               fused_repeats);
+               repeats);
   std::fprintf(f, "    \"perblock_us\": %.1f,\n", fitnet.perblock_us);
   std::fprintf(f, "    \"sweep_us\": %.1f,\n", fitnet.sweep_us);
   std::fprintf(f, "    \"sweep_speedup\": %.2f\n", fitnet.speedup);
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"fused_table\": {\n");
-  std::fprintf(f, "    \"system\": \"water-256 single process, block %d, "
-                  "fp64 compressed, table+contraction fwd+bwd, min of %d "
-                  "interleaved\",\n", kBlock, fused_repeats);
-  std::fprintf(f, "    \"unfused_us\": %.1f,\n", fused.unfused_us);
-  std::fprintf(f, "    \"fused_us\": %.1f,\n", fused.fused_us);
-  std::fprintf(f, "    \"phase_speedup\": %.2f,\n", fused.speedup);
-  std::fprintf(f, "    \"end_to_end_speedup\": %.2f\n", fused_e2e_speedup);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cadence\": {\n");
   std::fprintf(f, "    \"system\": \"water-256 tiled 2x (512 atoms), 2 ranks, "
@@ -856,21 +679,16 @@ int main(int argc, char** argv) {
 
   std::printf("per-atom          : %8.1f us/step (%6.2f us/atom)\n",
               variants[0].us_per_step, variants[0].us_per_step / kNatoms);
-  std::printf("batched fused     : %8.1f us/step (%6.2f us/atom)  [B=%d]\n",
+  std::printf("batched           : %8.1f us/step (%6.2f us/atom)  [B=%d]\n",
               variants[1].us_per_step, variants[1].us_per_step / kNatoms,
               kBlock);
-  std::printf("batched unfused   : %8.1f us/step (%6.2f us/atom)\n",
-              variants[2].us_per_step, variants[2].us_per_step / kNatoms);
   std::printf("batched fit-fp32  : %8.1f us/step (%6.2f us/atom)  [B=%d]\n",
-              variants[3].us_per_step, variants[3].us_per_step / kNatoms,
-              kBlock);
-  std::printf("batched fit-bf16  : %8.1f us/step (%6.2f us/atom)  [B=%d]\n",
-              variants[4].us_per_step, variants[4].us_per_step / kNatoms,
+              variants[2].us_per_step, variants[2].us_per_step / kNatoms,
               kBlock);
   std::printf("per-atom full-emb : %8.1f us/step (%6.2f us/atom)\n",
-              variants[5].us_per_step, variants[5].us_per_step / kNatoms);
+              variants[3].us_per_step, variants[3].us_per_step / kNatoms);
   std::printf("batched full-emb  : %8.1f us/step (%6.2f us/atom)  [B=%d]\n",
-              variants[6].us_per_step, variants[6].us_per_step / kNatoms,
+              variants[4].us_per_step, variants[4].us_per_step / kNatoms,
               kBlock);
   std::printf("overlap (512 atoms, 2 ranks): %8.1f us/step on, %8.1f off; "
               "halo %.1f us, %.0f%% hidden\n",
@@ -880,16 +698,12 @@ int main(int argc, char** argv) {
               "(%.2fx)\n",
               tbl.scalar_ns_per_row, tbl.row_ns_per_row, tbl.speedup);
   std::printf("phases (256 atoms): env build %.0f us, refresh %.0f us, "
-              "table %.0f us, contract %.0f us, fitnet %.0f us, "
-              "rest %.0f us\n",
-              ph.env_build_us, ph.env_refresh_us, ph.table_us, ph.contract_us,
-              ph.fitnet_us, ph.embed_gemm_us);
+              "table+contract %.0f us, fitnet %.0f us, rest %.0f us "
+              "(eval %.0f us)\n",
+              ph.env_build_us, ph.env_refresh_us, ph.table_contract_us,
+              ph.fitnet_us, ph.rest_us, ph.eval_us);
   std::printf("fitnet stage: %.0f us per-block, %.0f us sweep (%.2fx)\n",
               fitnet.perblock_us, fitnet.sweep_us, fitnet.speedup);
-  std::printf("fused table+contract phase: %.0f us unfused, %.0f us fused "
-              "(%.2fx; end-to-end %.2fx)\n",
-              fused.unfused_us, fused.fused_us, fused.speedup,
-              fused_e2e_speedup);
   for (const auto& c : cadence) {
     std::printf("cadence %2d (skin %.2f): %8.1f us/step amortized "
                 "(%d rebuilds/%d steps; halo %.0f, neigh %.0f, pair %.0f)\n",

@@ -111,13 +111,10 @@ void measured_section() {
                   direct(dp::Precision::MixFp32, nn::GemmKind::Auto, true,
                          64)});
   // Reduced-precision fitting inside the fp64 pipeline (ISSUE 9, §III-B3):
-  // fitting nets in fp32 / bf16-stored weights, fp64 energy head + chain.
+  // fitting nets in fp32, fp64 energy head + chain.
   rows.push_back({"batched-fp64+fit-fp32 (B=64)",
                   direct(dp::Precision::Double, nn::GemmKind::Auto, true, 64,
                          dp::FittingPrecision::Fp32)});
-  rows.push_back({"batched-fp64+fit-bf16 (B=64)",
-                  direct(dp::Precision::Double, nn::GemmKind::Auto, true, 64,
-                         dp::FittingPrecision::Bf16)});
   // Full-embedding rungs (ISSUE 2): the accuracy-reference mode without
   // DP-Compress tables.  The GEMM-cast descriptor contraction + batched
   // embedding passes are what close the gap to the compressed rungs.

@@ -107,8 +107,7 @@ inline OverlapMeasurement measure_overlap(int steps = 6,
       auto pair = std::make_shared<dp::PairDeepMD>(
           model, opts, pools[static_cast<std::size_t>(rank.rank())].get());
       comm::DomainEngine engine(rank, grid, box, masses, pair,
-                                {.dt_fs = 0.25, .staged = true,
-                                 .overlap = overlap});
+                                {.dt_fs = 0.25, .overlap = overlap});
       engine.seed(x, v, type);
       engine.step();  // warm-up: tables, caches, first exchange
       engine.timers().reset();
@@ -201,7 +200,7 @@ inline CadenceMeasurement measure_cadence(int rebuild_every, double skin,
     comm::DomainEngine engine(rank, grid, box, masses, pair,
                               {.dt_fs = 0.25, .skin = skin,
                                .rebuild_every = rebuild_every,
-                               .staged = true, .overlap = true});
+                               .overlap = true});
     engine.seed(x, v, type);
     // Warm-up: setup rebuild + two full steps (tables, caches, the first
     // refresh allocation) before the timed window opens.

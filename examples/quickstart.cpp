@@ -4,7 +4,7 @@
 //
 //   ./quickstart [--steps=200] [--cells=3] [--temp=100] [--precision=fp32]
 //                [--block-size=64] [--skin=-1] [--rebuild-every=50]
-//                [--fused-table=1] [--fitting-precision=inherit]
+//                [--fitting-precision=inherit]
 //                [--checkpoint-every=0]
 //                [--checkpoint-file=quickstart.ckpt] [--restart=FILE]
 //                [--ranks=1] [--rebalance-every=0] [--rebalance-damping=0.5]
@@ -19,12 +19,9 @@
 // the cell admits, capped at the paper's 2 A, so the quickstart runs the
 // steady state out of the box.  --rebuild-every=1 rebuilds every step (the
 // ablation baseline); drift > skin/2 always forces a rebuild regardless.
-// --fused-table=0 falls back to the unfused table-then-GEMM slab pipeline
-// (ISSUE 5 ablation baseline; 1 = the fused register-resident default).
-// --fitting-precision=inherit|fp32|bf16 (ISSUE 9, fp64 pipeline only, i.e.
-// --precision=fp64): runs the hidden fitting-net layers reduced (fp32, or
-// bf16-stored first-layer weights) with the energy head and the whole
-// force chain kept fp64 — the fp32 rung is what puts water-sized systems
+// --fitting-precision=inherit|fp32 (fp64 pipeline only, i.e.
+// --precision=fp64): runs the hidden fitting-net layers in fp32 with the
+// energy head and the whole force chain kept fp64 — the fp32 rung is what puts water-sized systems
 // under the fp64 step-time target on x86 (see src/core/README.md).
 // --checkpoint-every=N writes a restart file every N completed steps
 // (ISSUE 6; 0 = off) to --checkpoint-file; --restart=FILE resumes a
@@ -86,11 +83,9 @@ int main(int argc, char** argv) {
   const double skin = args.get_double("skin", -1.0);  // negative = auto
   const int rebuild_every =
       static_cast<int>(args.get_int("rebuild-every", 50));
-  const bool fused_table = args.get_bool("fused-table", true);
   const std::string fitprec_str = args.get("fitting-precision", "inherit");
-  DPMD_REQUIRE(fitprec_str == "inherit" || fitprec_str == "fp32" ||
-                   fitprec_str == "bf16",
-               "--fitting-precision must be inherit, fp32 or bf16");
+  DPMD_REQUIRE(fitprec_str == "inherit" || fitprec_str == "fp32",
+               "--fitting-precision must be inherit or fp32");
   DPMD_REQUIRE(fitprec_str == "inherit" || prec_str == "fp64",
                "--fitting-precision needs the fp64 pipeline "
                "(--precision=fp64)");
@@ -128,10 +123,9 @@ int main(int argc, char** argv) {
                                         : dp::Precision::MixFp32;
   opts.compressed = true;
   opts.block_size = block_size;
-  opts.fused_table = fused_table;
-  opts.fitting_precision = fitprec_str == "fp32"   ? dp::FittingPrecision::Fp32
-                           : fitprec_str == "bf16" ? dp::FittingPrecision::Bf16
-                                                   : dp::FittingPrecision::Inherit;
+  opts.fitting_precision = fitprec_str == "fp32"
+                               ? dp::FittingPrecision::Fp32
+                               : dp::FittingPrecision::Inherit;
 
   // 2. The physical system.
   md::Box box;
@@ -220,10 +214,9 @@ int main(int argc, char** argv) {
   sim.setup();
 
   std::printf("quickstart: %d Cu atoms, %s precision, %d steps, "
-              "block size %d%s%s\n",
+              "block size %d%s\n",
               sim.atoms().nlocal, dp::precision_name(opts.precision), steps,
-              block_size, block_size <= 1 ? " (per-atom path)" : "",
-              fused_table ? "" : " (unfused table)");
+              block_size, block_size <= 1 ? " (per-atom path)" : "");
   std::printf("cadence: skin %.2f A%s, rebuild every %d steps\n",
               sim.config().skin, skin < 0.0 ? " (auto)" : "", rebuild_every);
   std::printf("%8s %12s %12s %12s %10s\n", "step", "PE [eV]", "KE [eV]",

@@ -4,7 +4,7 @@
 //
 //   ./water_rdf [--molecules-side=4] [--steps=1500] [--temp=300]
 //               [--dp-block-size=0] [--skin=-1] [--rebuild-every=50]
-//               [--fused-table=1] [--fitting-precision=inherit]
+//               [--fitting-precision=inherit]
 //               [--checkpoint-every=0]
 //               [--checkpoint-file=water_rdf.ckpt] [--restart=FILE]
 //               [--ranks=1] [--rebalance-every=0] [--rebalance-damping=0.5]
@@ -13,11 +13,9 @@
 // a paper-shaped Deep Potential at EvalOptions::block_size = N and reports
 // the evaluation throughput — the knob the ROADMAP asks to tune per system
 // (1 = per-atom path, 0 = off).  The DP carries random weights, so the
-// numbers measure the compute pipeline, not the physics.  --fused-table=0
-// runs the DP scoring through the unfused table-then-GEMM slab pipeline
-// (ISSUE 5 ablation baseline).  --fitting-precision=inherit|fp32|bf16
-// (ISSUE 9) runs the scoring's fitting net reduced (fp64 head + chain) —
-// the fp32 rung is the fast one, bf16 is a storage/accuracy rung.
+// numbers measure the compute pipeline, not the physics.
+// --fitting-precision=inherit|fp32 runs the scoring's fitting net
+// in fp32 (fp64 head + chain).
 // --skin / --rebuild-every set the driving simulation's neighbor cadence
 // (the paper's steady-state amortization; drift > skin/2 still forces a
 // rebuild).  --skin=-1 (the default) auto-picks the largest admissible
@@ -87,11 +85,9 @@ int main(int argc, char** argv) {
   const double skin = args.get_double("skin", -1.0);  // negative = auto
   const int rebuild_every =
       static_cast<int>(args.get_int("rebuild-every", 50));
-  const bool fused_table = args.get_bool("fused-table", true);
   const std::string fitprec_str = args.get("fitting-precision", "inherit");
-  DPMD_REQUIRE(fitprec_str == "inherit" || fitprec_str == "fp32" ||
-                   fitprec_str == "bf16",
-               "--fitting-precision must be inherit, fp32 or bf16");
+  DPMD_REQUIRE(fitprec_str == "inherit" || fitprec_str == "fp32",
+               "--fitting-precision must be inherit or fp32");
   DPMD_REQUIRE(rebuild_every >= 1, "--rebuild-every must be >= 1");
   const int checkpoint_every =
       static_cast<int>(args.get_int("checkpoint-every", 0));
@@ -249,13 +245,11 @@ int main(int argc, char** argv) {
   if (dp_block >= 1) {
     dp::EvalOptions opts;  // fp64 compressed
     opts.block_size = dp_block;
-    opts.fused_table = fused_table;
-    // DP scoring is fp64, so the reduced-fitting rungs (ISSUE 9) apply
-    // directly: hidden fitting layers fp32/bf16, fp64 head + force chain.
-    opts.fitting_precision =
-        fitprec_str == "fp32"   ? dp::FittingPrecision::Fp32
-        : fitprec_str == "bf16" ? dp::FittingPrecision::Bf16
-                                : dp::FittingPrecision::Inherit;
+    // DP scoring is fp64, so the reduced-fitting rung applies
+    // directly: hidden fitting layers fp32, fp64 head + force chain.
+    opts.fitting_precision = fitprec_str == "fp32"
+                                 ? dp::FittingPrecision::Fp32
+                                 : dp::FittingPrecision::Inherit;
     // Same paper-shaped random-weight model as the compute benches
     // (bench/water256.hpp), so the example and BENCH_compute.json time the
     // identical workload.

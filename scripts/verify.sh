@@ -4,7 +4,7 @@
 #
 #   scripts/verify.sh            # tier-1: native Release build + ctest
 #   scripts/verify.sh --portable # add the -DDPMD_NATIVE=OFF leg
-#   scripts/verify.sh --asan     # add the ASan+UBSan leg (threaded suites)
+#   scripts/verify.sh --asan     # add the ASan+UBSan leg (every suite)
 #   scripts/verify.sh --tsan     # add the TSan leg (threaded suites)
 #   scripts/verify.sh --all      # everything
 #
@@ -89,11 +89,11 @@ if [[ "$run_portable" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== sanitizers: ASan+UBSan, threaded suites =="
+  echo "== sanitizers: ASan+UBSan, every suite =="
   cmake -B "$repo_root/build-asan" -S "$repo_root" \
         -DDPMD_SANITIZE=address >/dev/null
   cmake --build "$repo_root/build-asan" -j"$jobs"
-  (cd "$repo_root/build-asan" && ctest -L threaded --output-on-failure)
+  (cd "$repo_root/build-asan" && ctest --output-on-failure -j2)
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

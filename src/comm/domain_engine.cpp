@@ -320,9 +320,50 @@ void DomainEngine::exchange_and_compute() {
   halo_.record_plan(cfg_.rebuild_every > 1 ? &plan_ : nullptr);
   md::ForceResult res;
 
-  if (!cfg_.staged) {
-    // Legacy sequence: blocking exchange -> full list build -> monolithic
-    // compute.
+  atoms_.zero_forces();
+  md::classify_partition(atoms_, sub_box_, nlist_.list_cutoff(), partition_);
+  pair_->on_lists_rebuilt();
+  md::ForceAccum accum;
+  if (cfg_.overlap) {
+    // §III-C overlap: post the halo sends, launch the interior blocks on
+    // the pair's worker threads, drive the remaining exchange rounds on
+    // this thread, then join before the atom arrays are appended to.
+    // An interior center's stencil cannot reach a ghost, so its list is
+    // built from the locals alone while the exchange is in flight.
+    {
+      ScopedTimer timer(timers_, "halo");
+      halo_.begin(dom_);
+    }
+    {
+      ScopedTimer timer(timers_, "neigh");
+      nlist_.build_centers(atoms_, global_box_, partition_.interior,
+                           /*reset=*/true);
+    }
+    pair_->begin_step(atoms_, nlist_);
+    JoinGuard join_guard{pair_.get()};
+    {
+      ScopedTimer timer(timers_, "pair");
+      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
+                               /*async=*/true);
+    }
+    {
+      ScopedTimer timer(timers_, "halo");
+      const auto ghosts = halo_.finish();
+      pair_->join();  // interior reads atoms_.x; join before we append
+      join_guard.pair = nullptr;
+      adopt_ghosts(ghosts);
+    }
+    {
+      ScopedTimer timer(timers_, "neigh");
+      nlist_.build_centers(atoms_, global_box_, partition_.boundary,
+                           /*reset=*/false);
+    }
+    ScopedTimer timer(timers_, "pair");
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    res = pair_->end_step(atoms_, nlist_, accum);
+  } else {
+    // Sequential schedule: the A/B baseline the overlap bench rung
+    // compares against (same partitions, same math).
     {
       ScopedTimer timer(timers_, "halo");
       halo_.begin(dom_);
@@ -333,70 +374,10 @@ void DomainEngine::exchange_and_compute() {
       nlist_.build(atoms_, global_box_);
     }
     ScopedTimer timer(timers_, "pair");
-    pair_->on_lists_rebuilt();
-    atoms_.zero_forces();
-    res = pair_->compute(atoms_, nlist_);
-  } else {
-    atoms_.zero_forces();
-    md::classify_partition(atoms_, sub_box_, nlist_.list_cutoff(),
-                           partition_);
-    pair_->on_lists_rebuilt();
-    md::ForceAccum accum;
-    if (cfg_.overlap) {
-      // §III-C overlap: post the halo sends, launch the interior blocks on
-      // the pair's worker threads, drive the remaining exchange rounds on
-      // this thread, then join before the atom arrays are appended to.
-      // An interior center's stencil cannot reach a ghost, so its list is
-      // built from the locals alone while the exchange is in flight.
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.begin(dom_);
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build_centers(atoms_, global_box_, partition_.interior,
-                             /*reset=*/true);
-      }
-      pair_->begin_step(atoms_, nlist_);
-      JoinGuard join_guard{pair_.get()};
-      {
-        ScopedTimer timer(timers_, "pair");
-        pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
-                                 /*async=*/true);
-      }
-      {
-        ScopedTimer timer(timers_, "halo");
-        const auto ghosts = halo_.finish();
-        pair_->join();  // interior reads atoms_.x; join before we append
-        join_guard.pair = nullptr;
-        adopt_ghosts(ghosts);
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build_centers(atoms_, global_box_, partition_.boundary,
-                             /*reset=*/false);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    } else {
-      // Staged API, sequential schedule: the A/B baseline the overlap
-      // bench rung compares against (same partitions, same math).
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.begin(dom_);
-        adopt_ghosts(halo_.finish());
-      }
-      {
-        ScopedTimer timer(timers_, "neigh");
-        nlist_.build(atoms_, global_box_);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    }
+    pair_->begin_step(atoms_, nlist_);
+    pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    res = pair_->end_step(atoms_, nlist_, accum);
   }
 
   {
@@ -431,55 +412,45 @@ void DomainEngine::refresh_and_compute() {
   md::ForceResult res;
   atoms_.zero_forces();
 
-  if (!cfg_.staged) {
+  md::ForceAccum accum;
+  if (cfg_.overlap) {
+    // Same overlap shape as the rebuild step, minus every list: the
+    // interior partition (whose lists reference locals only) evaluates on
+    // the workers while this thread replays the forward rounds; the
+    // refreshed ghost positions are written after join, then the boundary
+    // partition runs against them.
+    {
+      ScopedTimer timer(timers_, "halo");
+      halo_.refresh_begin(locals, plan_);
+    }
+    pair_->begin_step(atoms_, nlist_);
+    JoinGuard join_guard{pair_.get()};
+    {
+      ScopedTimer timer(timers_, "pair");
+      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
+                               /*async=*/true);
+    }
+    {
+      ScopedTimer timer(timers_, "halo");
+      const auto& gx = halo_.refresh_finish();
+      pair_->join();  // interior reads atoms_.x; join before ghost writes
+      join_guard.pair = nullptr;
+      write_ghosts(gx);
+    }
+    ScopedTimer timer(timers_, "pair");
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    res = pair_->end_step(atoms_, nlist_, accum);
+  } else {
     {
       ScopedTimer timer(timers_, "halo");
       halo_.refresh_begin(locals, plan_);
       write_ghosts(halo_.refresh_finish());
     }
     ScopedTimer timer(timers_, "pair");
-    res = pair_->compute(atoms_, nlist_);
-  } else {
-    md::ForceAccum accum;
-    if (cfg_.overlap) {
-      // Same overlap shape as the rebuild step, minus every list: the
-      // interior partition (whose lists reference locals only) evaluates
-      // on the workers while this thread replays the forward rounds; the
-      // refreshed ghost positions are written after join, then the
-      // boundary partition runs against them.
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.refresh_begin(locals, plan_);
-      }
-      pair_->begin_step(atoms_, nlist_);
-      JoinGuard join_guard{pair_.get()};
-      {
-        ScopedTimer timer(timers_, "pair");
-        pair_->compute_partition(atoms_, nlist_, partition_.interior, accum,
-                                 /*async=*/true);
-      }
-      {
-        ScopedTimer timer(timers_, "halo");
-        const auto& gx = halo_.refresh_finish();
-        pair_->join();  // interior reads atoms_.x; join before ghost writes
-        join_guard.pair = nullptr;
-        write_ghosts(gx);
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    } else {
-      {
-        ScopedTimer timer(timers_, "halo");
-        halo_.refresh_begin(locals, plan_);
-        write_ghosts(halo_.refresh_finish());
-      }
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    }
+    pair_->begin_step(atoms_, nlist_);
+    pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    res = pair_->end_step(atoms_, nlist_, accum);
   }
 
   {

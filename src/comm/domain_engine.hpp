@@ -46,18 +46,16 @@ struct DomainConfig {
   /// long cadence correct for fast atoms; no-op when rebuild_every <= 1.
   bool rebuild_on_drift = true;
 
-  /// Route force evaluation through the staged Pair surface (ISSUE 3):
-  /// local atoms split into interior (stencil entirely inside the sub-box
-  /// shrunk by the list cutoff) and boundary partitions; off = the legacy
-  /// exchange -> build -> monolithic compute sequence.
-  bool staged = true;
-  /// With staged on: post the halo sends, evaluate the interior partition
-  /// (on the pair's thread-pool workers when it supports async) while this
-  /// thread drives the remaining exchange rounds, then receive, append
-  /// ghosts, and evaluate the boundary partition — the §III-C overlap that
-  /// hides ghost communication behind Deep Potential block evaluation.
-  /// Off: same staged API, strictly sequential (the A/B baseline the
-  /// overlap bench rung compares against).
+  /// Force evaluation runs through the staged Pair surface: local
+  /// atoms split into interior (stencil entirely inside the sub-box shrunk
+  /// by the list cutoff) and boundary partitions.  With overlap on: post
+  /// the halo sends, evaluate the interior partition (on the pair's
+  /// thread-pool workers when it supports async) while this thread drives
+  /// the remaining exchange rounds, then receive, append ghosts, and
+  /// evaluate the boundary partition — the §III-C overlap that hides ghost
+  /// communication behind Deep Potential block evaluation.  Off: the same
+  /// partitions, strictly sequential (the A/B baseline the overlap bench
+  /// rung compares against).
   bool overlap = true;
 
   /// Numerical health guard + rewind recovery (ISSUE 6).  The trip verdict
@@ -123,7 +121,7 @@ class DomainEngine {
   /// planes()[d][i+1].  Uniform until a rebalance event moves them.
   const std::array<std::vector<double>, 3>& planes() const { return planes_; }
   double local_pe() const { return pe_; }
-  /// Last step's interior/boundary split (staged mode; empty otherwise).
+  /// Last step's interior/boundary split.
   const md::StagePartition& partition() const { return partition_; }
   /// Per-phase wall time on this rank: "halo" (exchange begin/finish +
   /// ghost adoption), "neigh", "pair", "force_return".  With overlap on,
@@ -182,7 +180,7 @@ class DomainEngine {
   /// Append exchanged ghosts to the atom arrays (+ owner bookkeeping).
   void adopt_ghosts(const std::vector<HaloAtom>& ghosts);
   /// Rebuild step: full exchange (plan recorded) + neighbor build + force
-  /// evaluation, staged or legacy per cfg_.
+  /// evaluation, overlapped or sequential per cfg_.
   void exchange_and_compute();
   /// Steady-state step: position-only halo replay over the recorded plan,
   /// persistent lists/partition/env, force evaluation.

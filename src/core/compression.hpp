@@ -45,10 +45,9 @@ class CompressedEmbedding {
   /// Same contract as eval(), vectorized: the [bin][power][m1] layout puts
   /// every power's m1 coefficients unit-stride, so one dual Horner
   /// recurrence (value + dt-derivative) sweeps all channels per power with
-  /// `omp simd` lanes.  This is the batch entry point of the *unfused* slab
-  /// pipeline (EvalOptions::fused_table = false) and of evaluate_atom;
-  /// equality with eval() is pinned by tests across bins, clamping and the
-  /// linear extension.
+  /// `omp simd` lanes.  This is the table entry point of evaluate_atom (the
+  /// per-atom path); equality with eval() is pinned by tests across bins,
+  /// clamping and the linear extension.
   void eval_row(double s, double* g, double* dg) const;
 
   // ---- fused tabulate-contraction kernels (ISSUE 5) -----------------------
@@ -116,9 +115,9 @@ class CompressedEmbedding {
 // Mirror contract_forward_batch / contract_backward_batch (descriptor.hpp)
 // over the same AtomEnvBatch segment bookkeeping, but with the per-row table
 // evaluation fused into the contraction: the per-slot D = A^T A[:, :m2] and
-// dD -> dA steps are shared with the slab pipeline (contract_d /
-// contract_d_backward), so the two paths can only diverge in the row-level
-// kernels the ablation toggle selects between.
+// dD -> dA steps are shared with the full-embedding slab pipeline
+// (contract_d / contract_d_backward), so the two paths can only diverge in
+// the row-level kernels.
 
 /// Forward: for every center slot, accumulates A into a_slab (natoms x 4 x
 /// m1, caller-zeroed) by fused table-eval-and-contract over the slot's

@@ -20,7 +20,6 @@ const char* fitting_precision_name(FittingPrecision p) {
   switch (p) {
     case FittingPrecision::Inherit: return "inherit";
     case FittingPrecision::Fp32: return "fp32";
-    case FittingPrecision::Bf16: return "bf16";
   }
   return "?";
 }
@@ -53,13 +52,8 @@ Workspace<T>& workspace() {
 template <class T>
 struct BatchWorkspace {
   std::vector<T> rmat;       // rows x 4 (cast of the double batch matrix)
-  std::vector<T> g;          // rows x m1 (compressed path only)
-  std::vector<T> dg;         // rows x m1 (compressed path only)
   std::vector<T> a;          // B x 4 x m1: per-slot descriptor factor A
-  std::vector<T> ds;         // rows (compressed path only)
   std::vector<T> dr;         // rows x 4: dE/dR
-  std::vector<double> dgds;  // rows x m1 (compressed path)
-  std::vector<double> grow;  // m1 (compressed table output staging)
   std::vector<int> gseg;     // ntypes x B: active-compacted G row offsets
   std::vector<int> gcount;   // ntypes: active rows per type slab
 };
@@ -241,11 +235,7 @@ double DPEvaluator::eval_impl(const AtomEnv& env, std::vector<Vec3>& dE_dd,
       const int fin = fnet.input_dim();
       float* fx = fnet.batch_input(1, fit_cache_f_);
       for (int q = 0; q < fin; ++q) fx[q] = static_cast<float>(ws.dmat[q]);
-      const nn::GemmKind ffirst =
-          opts_.fitting_precision == FittingPrecision::Bf16
-              ? nn::GemmKind::Bf16Weights
-              : fk;
-      fnet.forward_batch(1, fit_cache_f_, fk, ffirst, opts_.packed_gemm);
+      fnet.forward_batch(1, fit_cache_f_, fk, fk, opts_.packed_gemm);
       const auto& last = model_->fitting(env.center_type).layers().back();
       const float* h = fit_cache_f_.acts[fnet.layers().size() - 1].data();
       double acc = 0.0;
@@ -409,11 +399,10 @@ void DPEvaluator::evaluate_sweep(const SweepJob* jobs, int njobs,
                      jobs[i].dE_dd != nullptr,
                  "null SweepJob field");
   }
-  if (!(opts_.compressed && opts_.fused_table)) {
-    // Slab pipeline: sequential per-item evaluation.  Each item's fitting
-    // stage still runs through fit_stage, so the precision knob and the
-    // fused epilogues apply here too — only the cross-item GEMM batching
-    // needs the fused descriptor path's per-item state isolation.
+  if (!opts_.compressed) {
+    // Full-embedding pipeline: sequential per-item evaluation.  Each item's
+    // fitting stage still runs through fit_stage, so the precision knob and
+    // the fused epilogues apply here too.
     for (int i = 0; i < njobs; ++i) {
       const SweepJob& j = jobs[i];
       if (opts_.precision == Precision::Double) {
@@ -435,36 +424,31 @@ void DPEvaluator::evaluate_sweep(const SweepJob* jobs, int njobs,
   }
 }
 
-/// One item's handles through fit_stage: where its staged D rows live
-/// (caches, one per center type, inputs already in acts[0]), where its
-/// energies and per-type dE/dD slab pointers go.
-///
-/// Concatenated mode (row_offset != nullptr): every task points at the SAME
-/// per-type cache vector and its type-t rows occupy rows
-/// [row_offset[t], row_offset[t] + count) of that shared cache — the whole
-/// sweep then runs each fitting net as ONE large-M pass instead of one
+/// One item's handles through fit_stage: where its energies and per-type
+/// dE/dD slab pointers go, and where its staged D rows sit in the shared
+/// fitting caches.  Every task's type-t rows occupy rows
+/// [row_offset[t], row_offset[t] + count) of ONE per-type cache, so the
+/// whole sweep runs each fitting net as ONE large-M pass instead of one
 /// small-M pass per block, which is worth ~1.3x on the GEMM throughput at
 /// water-256 block sizes.
 template <class T>
 struct DPEvaluator::FitTask {
   const AtomEnvBatch* batch = nullptr;
-  std::vector<nn::MlpCache<T>>* caches = nullptr;
-  std::vector<nn::MlpCache<float>>* rp_caches = nullptr;
   std::vector<double>* energies = nullptr;
   const T** dd_base = nullptr;
-  const int* row_offset = nullptr;  ///< per-type row offsets (concat mode)
+  const int* row_offset = nullptr;  ///< per-type first row in the caches
 };
 
 template <class T>
 void DPEvaluator::fit_stage(FitTask<T>* tasks, int ntasks,
+                            std::vector<nn::MlpCache<T>>& caches,
                             rt::ThreadPool* pool) {
   const auto& cfg = model_->config();
   const int ntypes = cfg.ntypes;
   const nn::GemmKind fk = opts_.fitting_gemm;
-  nn::GemmKind first = fk;
-  if (opts_.precision == Precision::MixFp16) {
-    first = nn::GemmKind::HalfWeights;
-  }
+  const nn::GemmKind first = opts_.precision == Precision::MixFp16
+                                 ? nn::GemmKind::HalfWeights
+                                 : fk;
   const auto fit_net = [&](int t) -> const nn::Mlp<T>& {
     if constexpr (std::is_same_v<T, double>) {
       return model_->fitting(t);
@@ -481,56 +465,38 @@ void DPEvaluator::fit_stage(FitTask<T>* tasks, int ntasks,
         task.batch->fit_type_offset[static_cast<std::size_t>(t)] + i)];
   };
 
-  // Concatenated mode: all tasks share one per-type cache (see FitTask doc).
-  const bool concat = ntasks > 0 && tasks[0].row_offset != nullptr;
-
-  thread_local std::vector<int> live;  // tasks with type-t centers
-  thread_local std::vector<nn::MlpSweepItem<T>> items;
   for (int t = 0; t < ntypes; ++t) {
-    live.clear();
     int total = 0;
-    for (int i = 0; i < ntasks; ++i) {
-      const int c = count_of(tasks[i], t);
-      if (c > 0) live.push_back(i);
-      total += c;
-    }
-    if (live.empty()) continue;
-    const int n = static_cast<int>(live.size());
+    for (int i = 0; i < ntasks; ++i) total += count_of(tasks[i], t);
+    if (total == 0) continue;
     const double bias = cfg.energy_bias[static_cast<std::size_t>(t)];
+    nn::MlpCache<T>& cache = caches[static_cast<std::size_t>(t)];
 
     if constexpr (std::is_same_v<T, double>) {
-      if (concat && opts_.fitting_precision != FittingPrecision::Inherit) {
-        // Reduced-precision fitting over the concatenated slab: one
-        // fp64 -> fp32 cast of the whole staged D slab, one large-M fp32
-        // sweep, fp64 energy head against the master weights, one cast of
-        // dE/dD back into the fp64 chain.
+      if (opts_.fitting_precision != FittingPrecision::Inherit) {
+        // Reduced-precision fitting (§III-B3 applied to the fitting net):
+        // one fp64 -> fp32 cast of the whole staged D slab, one large-M
+        // fp32 sweep, the energy head — the final in -> 1 reduction plus
+        // biases — re-accumulated in fp64 against the master weights, one
+        // cast of dE/dD back into the fp64 force chain.
         const nn::Mlp<float>& fnet =
             pack_->fittings_f()[static_cast<std::size_t>(t)];
         const int fin = fnet.input_dim();
         const std::size_t L = fnet.layers().size();
-        auto& rp = *tasks[0].rp_caches;
-        if (rp.size() != static_cast<std::size_t>(ntypes)) {
-          rp.resize(static_cast<std::size_t>(ntypes));
-        }
-        nn::MlpCache<float>& fcache = rp[static_cast<std::size_t>(t)];
-        nn::MlpCache<T>& dcache =
-            (*tasks[0].caches)[static_cast<std::size_t>(t)];
+        nn::MlpCache<float>& fcache =
+            fit_batch_cache_rp_[static_cast<std::size_t>(t)];
         float* fx = fnet.batch_input(total, fcache);
-        const double* dx = dcache.acts[0].data();
+        const double* dx = cache.acts[0].data();
         const std::size_t nq = static_cast<std::size_t>(total) * fin;
         for (std::size_t q = 0; q < nq; ++q) {
           fx[q] = static_cast<float>(dx[q]);
         }
-        const nn::GemmKind ffirst =
-            opts_.fitting_precision == FittingPrecision::Bf16
-                ? nn::GemmKind::Bf16Weights
-                : fk;
         nn::MlpSweepItem<float> fone{total, &fcache};
-        fnet.forward_sweep(&fone, 1, fk, ffirst, opts_.packed_gemm, pool);
+        fnet.forward_sweep(&fone, 1, fk, fk, opts_.packed_gemm, pool);
         const auto& last = model_->fitting(t).layers().back();
         const float* h = fcache.acts[L - 1].data();
-        for (int j = 0; j < n; ++j) {
-          FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
+        for (int j = 0; j < ntasks; ++j) {
+          FitTask<T>& task = tasks[j];
           const int count = count_of(task, t);
           const int off = task.row_offset[t];
           for (int i = 0; i < count; ++i) {
@@ -549,148 +515,46 @@ void DPEvaluator::fit_stage(FitTask<T>* tasks, int ntasks,
         std::fill(dy, dy + total, 1.0f);
         fnet.backward_sweep(&fone, 1, fk, opts_.packed_gemm, pool);
         const float* gf = fcache.grads[0].data();
-        double* gd = dcache.grads[0].data();
+        double* gd = cache.grads[0].data();
         for (std::size_t q = 0; q < nq; ++q) {
           gd[q] = static_cast<double>(gf[q]);
         }
-        for (int j = 0; j < n; ++j) {
-          FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
+        for (int j = 0; j < ntasks; ++j) {
+          FitTask<T>& task = tasks[j];
+          if (count_of(task, t) == 0) continue;
           task.dd_base[t] =
               gd + static_cast<std::size_t>(task.row_offset[t]) * fin;
         }
         continue;
       }
-      if (opts_.fitting_precision != FittingPrecision::Inherit) {
-        // Reduced-precision fitting (§III-B3 applied to the fitting net):
-        // the staged fp64 D rows cast into the fp32 net's caches, the
-        // sweep runs there (bf16-stored weights in the big first GEMM when
-        // selected), the energy head — the final in -> 1 reduction plus
-        // biases — re-accumulates in fp64 against the master weights, and
-        // dE/dD casts back into the fp64 force chain.
-        const nn::Mlp<float>& fnet =
-            pack_->fittings_f()[static_cast<std::size_t>(t)];
-        const int fin = fnet.input_dim();
-        const std::size_t L = fnet.layers().size();
-        thread_local std::vector<nn::MlpSweepItem<float>> fitems;
-        fitems.resize(static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-          FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-          const int count = count_of(task, t);
-          auto& rp = *task.rp_caches;
-          if (rp.size() != static_cast<std::size_t>(ntypes)) {
-            rp.resize(static_cast<std::size_t>(ntypes));
-          }
-          float* fx = fnet.batch_input(count, rp[static_cast<std::size_t>(t)]);
-          const double* dx =
-              (*task.caches)[static_cast<std::size_t>(t)].acts[0].data();
-          const std::size_t nq = static_cast<std::size_t>(count) * fin;
-          for (std::size_t q = 0; q < nq; ++q) {
-            fx[q] = static_cast<float>(dx[q]);
-          }
-          fitems[static_cast<std::size_t>(j)] = {
-              count, &rp[static_cast<std::size_t>(t)]};
-        }
-        const nn::GemmKind ffirst =
-            opts_.fitting_precision == FittingPrecision::Bf16
-                ? nn::GemmKind::Bf16Weights
-                : fk;
-        fnet.forward_sweep(fitems.data(), n, fk, ffirst, opts_.packed_gemm,
-                           pool);
-        const auto& last = model_->fitting(t).layers().back();
-        for (int j = 0; j < n; ++j) {
-          FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-          const int count = count_of(task, t);
-          auto& rp = (*task.rp_caches)[static_cast<std::size_t>(t)];
-          const float* h = rp.acts[L - 1].data();
-          for (int i = 0; i < count; ++i) {
-            const float* hrow = h + static_cast<std::size_t>(i) * last.in;
-            double acc = 0.0;
-            for (int q = 0; q < last.in; ++q) {
-              acc += static_cast<double>(hrow[q]) *
-                     last.w.d[static_cast<std::size_t>(q)];
-            }
-            (*task.energies)[static_cast<std::size_t>(slot_of(task, t, i))] =
-                acc + last.b[0] + bias;
-          }
-          float* dy = fnet.batch_output_grad(count, rp);
-          std::fill(dy, dy + count, 1.0f);
-        }
-        fnet.backward_sweep(fitems.data(), n, fk, opts_.packed_gemm, pool);
-        for (int j = 0; j < n; ++j) {
-          FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-          const int count = count_of(task, t);
-          const float* gf =
-              (*task.rp_caches)[static_cast<std::size_t>(t)].grads[0].data();
-          double* gd =
-              (*task.caches)[static_cast<std::size_t>(t)].grads[0].data();
-          const std::size_t nq = static_cast<std::size_t>(count) * fin;
-          for (std::size_t q = 0; q < nq; ++q) {
-            gd[q] = static_cast<double>(gf[q]);
-          }
-          task.dd_base[t] = gd;
-        }
-        continue;
-      }
     }
 
-    if (concat) {
-      // Full-precision concatenated sweep: the staged slab already holds
-      // every item's type-t rows back to back, so the whole multi-block
-      // fitting stage is one large-M forward + backward per net.
-      const nn::Mlp<T>& net = fit_net(t);
-      nn::MlpCache<T>& cache = (*tasks[0].caches)[static_cast<std::size_t>(t)];
-      nn::MlpSweepItem<T> one{total, &cache};
-      net.forward_sweep(&one, 1, fk, first, opts_.packed_gemm, pool);
-      const T* e_out = cache.acts.back().data();
-      for (int j = 0; j < n; ++j) {
-        FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-        const int count = count_of(task, t);
-        const int off = task.row_offset[t];
-        for (int i = 0; i < count; ++i) {
-          (*task.energies)[static_cast<std::size_t>(slot_of(task, t, i))] =
-              static_cast<double>(e_out[off + i]) + bias;
-        }
-      }
-      T* dy = net.batch_output_grad(total, cache);
-      std::fill(dy, dy + total, T(1));
-      net.backward_sweep(&one, 1, fk, opts_.packed_gemm, pool);
-      const T* gbase = cache.grads[0].data();
-      for (int j = 0; j < n; ++j) {
-        FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-        task.dd_base[t] =
-            gbase +
-            static_cast<std::size_t>(task.row_offset[t]) * net.input_dim();
-      }
-      continue;
-    }
-
-    // Full-precision path in T: forward sweep, energy + dE/dy staging,
-    // backward sweep — all items of this net batched per layer.
+    // Full-precision sweep in T: the staged slab already holds every
+    // task's type-t rows back to back, so the fitting stage is one large-M
+    // forward + backward per net.
     const nn::Mlp<T>& net = fit_net(t);
-    items.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
-      items[static_cast<std::size_t>(j)] = {
-          count_of(task, t), &(*task.caches)[static_cast<std::size_t>(t)]};
-    }
-    net.forward_sweep(items.data(), n, fk, first, opts_.packed_gemm, pool);
-    for (int j = 0; j < n; ++j) {
-      FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
+    nn::MlpSweepItem<T> one{total, &cache};
+    net.forward_sweep(&one, 1, fk, first, opts_.packed_gemm, pool);
+    const T* e_out = cache.acts.back().data();
+    for (int j = 0; j < ntasks; ++j) {
+      FitTask<T>& task = tasks[j];
       const int count = count_of(task, t);
-      auto& cache = (*task.caches)[static_cast<std::size_t>(t)];
-      const T* e_out = cache.acts.back().data();
+      const int off = task.row_offset[t];
       for (int i = 0; i < count; ++i) {
         (*task.energies)[static_cast<std::size_t>(slot_of(task, t, i))] =
-            static_cast<double>(e_out[i]) + bias;
+            static_cast<double>(e_out[off + i]) + bias;
       }
-      T* dy = net.batch_output_grad(count, cache);
-      std::fill(dy, dy + count, T(1));
     }
-    net.backward_sweep(items.data(), n, fk, opts_.packed_gemm, pool);
-    for (int j = 0; j < n; ++j) {
-      FitTask<T>& task = tasks[live[static_cast<std::size_t>(j)]];
+    T* dy = net.batch_output_grad(total, cache);
+    std::fill(dy, dy + total, T(1));
+    net.backward_sweep(&one, 1, fk, opts_.packed_gemm, pool);
+    const T* gbase = cache.grads[0].data();
+    for (int j = 0; j < ntasks; ++j) {
+      FitTask<T>& task = tasks[j];
+      if (count_of(task, t) == 0) continue;
       task.dd_base[t] =
-          (*task.caches)[static_cast<std::size_t>(t)].grads[0].data();
+          gbase +
+          static_cast<std::size_t>(task.row_offset[t]) * net.input_dim();
     }
   }
 }
@@ -811,13 +675,11 @@ void DPEvaluator::sweep_impl(const SweepJob* jobs, int njobs,
     SweepSlot<T>& slot = slots[static_cast<std::size_t>(i)];
     FitTask<T>& task = tasks[static_cast<std::size_t>(i)];
     task.batch = jobs[i].batch;
-    task.caches = &concat;
-    task.rp_caches = &fit_batch_cache_rp_;
     task.energies = jobs[i].energies;
     task.dd_base = slot.dd_base.data();
     task.row_offset = offsets.data() + static_cast<std::size_t>(i) * ntypes;
   }
-  fit_stage(tasks.data(), njobs, pool);
+  fit_stage(tasks.data(), njobs, concat, pool);
 
   // Phase 3 — per-item fused backward through the descriptor into dE/dd.
   const auto finish = [&](int i, int) {
@@ -834,7 +696,8 @@ void DPEvaluator::sweep_impl(const SweepJob* jobs, int njobs,
     for (int i = 0; i < njobs; ++i) finish(i, 0);
   }
 
-  // Flop estimate (batch_impl's fused-branch formula), accumulated outside
+  // Flop estimate (eval_impl's compressed formula over the block),
+  // accumulated outside
   // the parallel phases.
   for (int i = 0; i < njobs; ++i) {
     const AtomEnvBatch& batch = *jobs[i].batch;
@@ -894,27 +757,17 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
   const auto type_lo = [&](int t) {
     return batch.type_offset[static_cast<std::size_t>(t)];
   };
-  const auto type_count = [&](int t) {
-    return batch.type_offset[static_cast<std::size_t>(t) + 1] -
-           batch.type_offset[static_cast<std::size_t>(t)];
-  };
   const auto fit_count = [&](int t) {
     return batch.fit_type_offset[static_cast<std::size_t>(t) + 1] -
            batch.fit_type_offset[static_cast<std::size_t>(t)];
   };
 
   auto& ws = batch_workspace<T>();
-  // Fused tabulate-contraction (ISSUE 5): the compressed default.  The
-  // table eval and the descriptor contraction run as one register-resident
-  // sweep per segment — no G/dG slabs, no rmat precision cast, no M = 4
-  // contraction GEMMs.  fused_table = false keeps the slab pipeline below
-  // as the ablation baseline.
-  const bool fused = opts_.compressed && opts_.fused_table;
-  // Full-embedding skin-tail pack (ISSUE 5 satellite): with env reuse the
-  // packed segments carry zeroed skin-band tails; compact the embedding
-  // MLP's input to the active prefixes so the net never runs over them.
-  // g_row_off then maps each segment to its rows inside the type slab.
-  const bool pack_active = !opts_.compressed && !batch.seg_active.empty();
+  // Skin-tail pack: with env reuse the packed segments
+  // carry zeroed skin-band tails; compact the embedding MLP's input to the
+  // active prefixes so the net never runs over them.  g_row_off then maps
+  // each segment to its rows inside the type slab.
+  const bool pack_active = !batch.seg_active.empty();
   const int* g_row_off = nullptr;
   if (pack_active) {
     ws.gseg.resize(static_cast<std::size_t>(ntypes) * B);
@@ -929,114 +782,69 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
     }
     g_row_off = ws.gseg.data();
   }
-  // Embedding rows of type t in the net caches/slabs: every packed row of
-  // the dense layout, or only the active prefixes when packed.
+  // Embedding rows of type t in the net caches: every packed row of the
+  // dense layout, or only the active prefixes when packed.
   const auto emb_rows = [&](int t) {
     return pack_active ? ws.gcount[static_cast<std::size_t>(t)]
                        : batch.type_offset[static_cast<std::size_t>(t) + 1] -
                              batch.type_offset[static_cast<std::size_t>(t)];
   };
   // The double pipeline reads the batch environment matrix in place; only
-  // the fp32 modes pay a cast copy — and the fused path reads the fp64
-  // matrix directly (per-row in-register casts), so it skips even that.
+  // the fp32 modes pay a cast copy.
   const T* rmat = nullptr;
-  if (!fused) {
-    if constexpr (std::is_same_v<T, double>) {
-      rmat = batch.rmat.data();
-    } else {
-      ws.rmat.resize(static_cast<std::size_t>(rows) * 4);
-      for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * 4; ++i) {
-        ws.rmat[i] = static_cast<T>(batch.rmat[i]);
-      }
-      rmat = ws.rmat.data();
+  if constexpr (std::is_same_v<T, double>) {
+    rmat = batch.rmat.data();
+  } else {
+    ws.rmat.resize(static_cast<std::size_t>(rows) * 4);
+    for (std::size_t i = 0; i < static_cast<std::size_t>(rows) * 4; ++i) {
+      ws.rmat[i] = static_cast<T>(batch.rmat[i]);
     }
+    rmat = ws.rmat.data();
   }
   ws.a.assign(static_cast<std::size_t>(B) * 4 * m1, T(0));
-  if (!fused) ws.dr.resize(static_cast<std::size_t>(rows) * 4);
+  ws.dr.resize(static_cast<std::size_t>(rows) * 4);
 
   // ---- embedding forward: ONE net pass per neighbor type per block -------
   // g_base[t] + (r - type_lo(t)) * m1 is the embedding row of packed row r
-  // (g_row_off-adjusted when the active pack is on); the slab lives either
-  // in ws.g (compressed, unfused) or in the type's MLP cache (uncompressed,
-  // zero-copy via forward_batch).  The fused path has no G slab at all.
+  // (g_row_off-adjusted when the active pack is on); the slab lives in the
+  // type's MLP cache (zero-copy via forward_batch).
   std::vector<const T*> g_base(static_cast<std::size_t>(ntypes), nullptr);
-  if (fused) {
-    // Table eval happens inside the fused contraction drivers below.
-  } else if (opts_.compressed) {
-    const auto& tables = pack_->tables();
-    ws.g.resize(static_cast<std::size_t>(rows) * m1);
-    ws.dgds.resize(static_cast<std::size_t>(rows) * m1);
-    if constexpr (!std::is_same_v<T, double>) {
-      ws.grow.resize(static_cast<std::size_t>(m1));
-    }
-    for (int t = 0; t < ntypes; ++t) {
-      const int lo = type_lo(t);
-      const int hi = lo + type_count(t);
-      for (int r = lo; r < hi; ++r) {
-        T* grow = ws.g.data() + static_cast<std::size_t>(r) * m1;
-        const double s_row = batch.rmat[static_cast<std::size_t>(r) * 4];
-        if (s_row == 0.0) {
-          // A compacted skin-band tail row (env reuse keeps full-list rows
-          // between rebuilds): its R~ and dR/dd rows are all zeros and the
-          // GEMM sweeps skip it via seg_active, so neither its G nor its
-          // dG/ds is ever read — skip the table walk outright.  (dG rows
-          // are zero-initialized per block, so the dE/ds chain still sees
-          // an exact zero for it.)
-          continue;
-        }
-        if constexpr (std::is_same_v<T, double>) {
-          // Table rows land straight in the G slab; only fp32 stages.
-          tables[static_cast<std::size_t>(t)].eval_row(
-              s_row, grow,
-              ws.dgds.data() + static_cast<std::size_t>(r) * m1);
-        } else {
-          tables[static_cast<std::size_t>(t)].eval_row(
-              s_row, ws.grow.data(),
-              ws.dgds.data() + static_cast<std::size_t>(r) * m1);
-          for (int p = 0; p < m1; ++p) {
-            grow[p] = static_cast<T>(ws.grow[static_cast<std::size_t>(p)]);
-          }
+  for (int t = 0; t < ntypes; ++t) {
+    const int count = emb_rows(t);
+    if (count == 0) continue;
+    auto& cache = emb_caches[static_cast<std::size_t>(t)];
+    T* s_in = emb_net(t).batch_input(count, cache);
+    const int lo = type_lo(t);
+    if (pack_active) {
+      // Compacted input: only each segment's in-range prefix, placed at
+      // its g_row_off slot — the MLP never sees a zeroed skin row.
+      for (int a = 0; a < B; ++a) {
+        const int seg_lo =
+            batch.seg_offset[static_cast<std::size_t>(t) * B + a];
+        const int active = batch.active_rows(t, a);
+        T* dst = s_in + ws.gseg[static_cast<std::size_t>(t) * B + a];
+        for (int k = 0; k < active; ++k) {
+          dst[k] = static_cast<T>(
+              batch.rmat[static_cast<std::size_t>(seg_lo + k) * 4]);
         }
       }
-      g_base[static_cast<std::size_t>(t)] =
-          ws.g.data() + static_cast<std::size_t>(lo) * m1;
-    }
-  } else {
-    for (int t = 0; t < ntypes; ++t) {
-      const int count = emb_rows(t);
-      if (count == 0) continue;
-      auto& cache = emb_caches[static_cast<std::size_t>(t)];
-      T* s_in = emb_net(t).batch_input(count, cache);
-      const int lo = type_lo(t);
-      if (pack_active) {
-        // Compacted input: only each segment's in-range prefix, placed at
-        // its g_row_off slot — the MLP never sees a zeroed skin row.
-        for (int a = 0; a < B; ++a) {
-          const int seg_lo =
-              batch.seg_offset[static_cast<std::size_t>(t) * B + a];
-          const int active = batch.active_rows(t, a);
-          T* dst = s_in + ws.gseg[static_cast<std::size_t>(t) * B + a];
-          for (int k = 0; k < active; ++k) {
-            dst[k] = static_cast<T>(
-                batch.rmat[static_cast<std::size_t>(seg_lo + k) * 4]);
-          }
-        }
-      } else {
-        for (int i = 0; i < count; ++i) {
-          s_in[i] = static_cast<T>(
-              batch.rmat[static_cast<std::size_t>(lo + i) * 4]);
-        }
+    } else {
+      for (int i = 0; i < count; ++i) {
+        s_in[i] =
+            static_cast<T>(batch.rmat[static_cast<std::size_t>(lo + i) * 4]);
       }
-      g_base[static_cast<std::size_t>(t)] = emb_net(t).forward_batch(
-          count, cache, nn::GemmKind::Auto, nn::GemmKind::Auto,
-          opts_.packed_gemm);
     }
+    g_base[static_cast<std::size_t>(t)] = emb_net(t).forward_batch(
+        count, cache, nn::GemmKind::Auto, nn::GemmKind::Auto,
+        opts_.packed_gemm);
   }
 
   // ---- descriptor: A = R~^T G / sel,  D = A^T A[:, :m2] per slot ---------
   // D rows are written straight into each fitting net's input slab in
   // center-type-sorted order, so the fitting GEMM below runs with
-  // M = fit_count(t) and no staging copy.
+  // M = fit_count(t) and no staging copy.  One gemm_tn per segment over the
+  // G slab; the segment sweep lives in contract_forward_batch, shared with
+  // the batched trainer.
   std::vector<T*> fit_slab(static_cast<std::size_t>(ntypes), nullptr);
   for (int t = 0; t < ntypes; ++t) {
     const int count = fit_count(t);
@@ -1044,21 +852,9 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
     fit_slab[static_cast<std::size_t>(t)] = fit_net(t).batch_input(
         count, fit_caches[static_cast<std::size_t>(t)]);
   }
-
-  // Fused (default): one register-resident tabulate-and-contract sweep per
-  // (slot, type) segment accumulates A with no G materialization.
-  // Unfused: one gemm_tn per segment over the G slab (PR 2), the ablation
-  // baseline; its segment sweep lives in contract_forward_batch, shared
-  // with the batched trainer.
-  const double inv_n_d = 1.0 / static_cast<double>(dparams.sel_total());
   const T inv_n = T(1) / static_cast<T>(dparams.sel_total());
-  if (fused) {
-    fused_contract_forward_batch(batch, pack_->tables(), m1, m2, inv_n_d,
-                                 ws.a.data(), fit_slab.data());
-  } else {
-    contract_forward_batch(batch, rmat, g_base.data(), g_row_off, m1, m2,
-                           inv_n, ws.a.data(), fit_slab.data());
-  }
+  contract_forward_batch(batch, rmat, g_base.data(), g_row_off, m1, m2,
+                         inv_n, ws.a.data(), fit_slab.data());
 
   // ---- fitting nets: forward AND backward at M = centers-per-type --------
   // One single-task fit_stage call — the same code the multi-block sweep
@@ -1066,86 +862,40 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
   // knob applied identically.
   std::vector<const T*> dd_base(static_cast<std::size_t>(ntypes), nullptr);
   {
+    const std::vector<int> row_offset(static_cast<std::size_t>(ntypes), 0);
     FitTask<T> task;
     task.batch = &batch;
-    task.caches = &fit_caches;
-    task.rp_caches = &fit_batch_cache_rp_;
     task.energies = &energies;
     task.dd_base = dd_base.data();
-    fit_stage(&task, 1, nullptr);
+    task.row_offset = row_offset.data();
+    fit_stage(&task, 1, fit_caches, nullptr);
   }
 
   // ---- backward through the descriptor ------------------------------------
-  // Fused: dA per slot, then one register-resident sweep per segment that
-  // re-evaluates the table and contracts straight through to the fp64
-  // dE/dd rows — no dG/dR/dE-ds slabs, and nothing left to do after it.
-  if (fused) {
-    fused_contract_backward_batch(batch, pack_->tables(), dd_base.data(), m1,
-                                  m2, inv_n_d, ws.a.data(), dE_dd.data());
-  } else {
-  // Unfused: dG rows accumulate into per-type slabs — the embedding grad
-  // slab (uncompressed) or ws.dg (compressed), mirroring g_base.
+  // dG rows accumulate into the embedding nets' grad slabs, mirroring
+  // g_base; dA per slot, then dG and dR over its packed rows — the segment
+  // sweep lives in contract_backward_batch, shared with the batched trainer.
   std::vector<T*> dg_base(static_cast<std::size_t>(ntypes), nullptr);
-  if (opts_.compressed) {
-    ws.dg.assign(static_cast<std::size_t>(rows) * m1, T(0));
-    for (int t = 0; t < ntypes; ++t) {
-      dg_base[static_cast<std::size_t>(t)] =
-          ws.dg.data() + static_cast<std::size_t>(type_lo(t)) * m1;
-    }
-  } else {
-    for (int t = 0; t < ntypes; ++t) {
-      const int count = emb_rows(t);
-      if (count == 0) continue;
-      T* slab = emb_net(t).batch_output_grad(
-          count, emb_caches[static_cast<std::size_t>(t)]);
-      std::fill(slab, slab + static_cast<std::size_t>(count) * m1, T(0));
-      dg_base[static_cast<std::size_t>(t)] = slab;
-    }
+  for (int t = 0; t < ntypes; ++t) {
+    const int count = emb_rows(t);
+    if (count == 0) continue;
+    T* slab = emb_net(t).batch_output_grad(
+        count, emb_caches[static_cast<std::size_t>(t)]);
+    std::fill(slab, slab + static_cast<std::size_t>(count) * m1, T(0));
+    dg_base[static_cast<std::size_t>(t)] = slab;
   }
-
-  // dA per slot, then dG and dR over its packed rows — the segment sweep
-  // lives in contract_backward_batch, shared with the batched trainer.
   contract_backward_batch(batch, rmat, g_base.data(), g_row_off,
                           dd_base.data(), m1, m2, inv_n, ws.a.data(),
                           dg_base.data(), ws.dr.data());
 
   // ---- dE/ds through the embedding: ONE backward per type per block -----
-  // Compressed path walks only each segment's in-range prefix — the
-  // compacted skin tails have dG = 0 and their dE/dd is written as an
-  // exact zero by the chain sweep below, so their ds is never read.
   std::vector<const T*> ds_base(static_cast<std::size_t>(ntypes), nullptr);
-  if (opts_.compressed) {
-    ws.ds.resize(static_cast<std::size_t>(rows));
-    for (int t = 0; t < ntypes; ++t) {
-      for (int a = 0; a < B; ++a) {
-        const int seg_lo =
-            batch.seg_offset[static_cast<std::size_t>(t) * B + a];
-        const int seg_end = seg_lo + batch.active_rows(t, a);
-        for (int r = seg_lo; r < seg_end; ++r) {
-          const T* dgrow = ws.dg.data() + static_cast<std::size_t>(r) * m1;
-          const double* dgdsrow =
-              ws.dgds.data() + static_cast<std::size_t>(r) * m1;
-          double acc = 0;
-          for (int p = 0; p < m1; ++p) {
-            acc += static_cast<double>(dgrow[p]) * dgdsrow[p];
-          }
-          ws.ds[static_cast<std::size_t>(r)] = static_cast<T>(acc);
-        }
-      }
-    }
-    for (int t = 0; t < ntypes; ++t) {
-      ds_base[static_cast<std::size_t>(t)] =
-          ws.ds.data() + type_lo(t);
-    }
-  } else {
-    for (int t = 0; t < ntypes; ++t) {
-      const int count = emb_rows(t);
-      if (count == 0) continue;
-      ds_base[static_cast<std::size_t>(t)] =
-          emb_net(t).backward_input_batch(
-              count, emb_caches[static_cast<std::size_t>(t)],
-              nn::GemmKind::Auto, opts_.packed_gemm);
-    }
+  for (int t = 0; t < ntypes; ++t) {
+    const int count = emb_rows(t);
+    if (count == 0) continue;
+    ds_base[static_cast<std::size_t>(t)] = emb_net(t).backward_input_batch(
+        count, emb_caches[static_cast<std::size_t>(t)], nn::GemmKind::Auto,
+        opts_.packed_gemm);
   }
 
   // ---- chain rule to neighbor displacements (always fp64) ----------------
@@ -1187,7 +937,6 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
       }
     }
   }
-  }  // !fused
 
   // flop estimate (same per-atom formula as eval_impl, over the block).
   const double fin = dparams.fitting_input_dim();
@@ -1197,18 +946,13 @@ void DPEvaluator::batch_impl(const AtomEnvBatch& batch,
   for (std::size_t l = 1; l < cfg.fit_widths.size(); ++l) {
     flops += 6.0 * B * cfg.fit_widths[l - 1] * cfg.fit_widths[l];
   }
-  if (!opts_.compressed) {
-    double emb = 0.0;
-    int prev = 1;
-    for (const int w : dparams.emb_widths) {
-      emb += 6.0 * prev * w;
-      prev = w;
-    }
-    flops += emb * rows;
-  } else {
-    flops += 12.0 * rows * m1;  // table eval
+  double emb = 0.0;
+  int prev = 1;
+  for (const int w : dparams.emb_widths) {
+    emb += 6.0 * prev * w;
+    prev = w;
   }
-  flops_ += flops;
+  flops_ += flops + emb * rows;
 }
 
 template void DPEvaluator::batch_impl<double>(

@@ -26,13 +26,12 @@ const char* precision_name(Precision p);
 
 /// Reduced-precision fitting inside the fp64 pipeline (§III-B3 applied to
 /// the fitting net): the fitting forward/backward runs on the pack's fp32
-/// cast (optionally with bf16-stored weights in the first, K = m1*m2,
-/// layer), while the energy head — the final 240 -> 1 reduction plus biases
+/// cast, while the energy head — the final 240 -> 1 reduction plus biases
 /// — re-accumulates in fp64 against the master weights and the whole
 /// descriptor/force chain stays fp64.  Inherit = the fitting net follows
 /// EvalOptions::precision (the only legal value for the Mix modes, which
 /// already run it in fp32).
-enum class FittingPrecision { Inherit, Fp32, Bf16 };
+enum class FittingPrecision { Inherit, Fp32 };
 
 const char* fitting_precision_name(FittingPrecision p);
 
@@ -44,8 +43,12 @@ struct EvalOptions {
   /// FittingPrecision.  Requires precision == Double when not Inherit
   /// (DPMD_REQUIRE at construction).
   FittingPrecision fitting_precision = FittingPrecision::Inherit;
-  /// Tabulated embedding (DP-Compress); when false the full embedding MLP
-  /// runs (slower, used as the accuracy reference for the table).
+  /// Tabulated embedding (DP-Compress), evaluated fused into the descriptor
+  /// contraction (the SC'20 aggregated-kernel lineage): each neighbor's
+  /// quintic-table row folds straight into the descriptor accumulation
+  /// (forward) and the fp64 force chain (backward) in registers.  When
+  /// false the full embedding MLP runs (slower, used as the accuracy
+  /// reference for the table).
   bool compressed = true;
   int compression_bins = 1024;
   /// Upper edge of the compression table in s = sw(r)/r units; 0 picks
@@ -54,20 +57,11 @@ struct EvalOptions {
   /// Atoms per evaluation block (§III-B batching): PairDeepMD evaluates
   /// blocks of this many atoms through DPEvaluator::evaluate_batch, running
   /// the embedding nets over all of a block's type-grouped neighbor rows at
-  /// once and the fitting nets with M = block size.  1 selects the legacy
-  /// per-atom path (evaluate_atom), kept as the ablation baseline.
+  /// once and the fitting nets with M = block size.  1 selects the per-atom
+  /// path (evaluate_atom), the oracle the batched pipeline is tested
+  /// against.
   /// Validated >= 1 (DPMD_REQUIRE) by every consumer.
   int block_size = 64;
-  /// Fused tabulate-contraction pipeline (ISSUE 5, the SC'20 aggregated
-  /// kernel lineage): with compression on, the batched path evaluates the
-  /// quintic table and folds each neighbor's embedding row straight into
-  /// the descriptor accumulation (forward) / the fp64 force chain
-  /// (backward), in registers — the G/dG slabs and the M = 4 contraction
-  /// GEMMs of the slab pipeline never exist.  Off = the unfused slab path
-  /// (table sweep, then gemm_tn/gemm_nt contraction), kept compiled as the
-  /// ablation baseline and gradient oracle.  Ignored when compressed is
-  /// false or block_size == 1 (the per-atom path is always unfused).
-  bool fused_table = true;
   /// Run the Blocked/Auto net GEMMs against the pack_b panel-major weight
   /// copies built at DenseLayer::finalize (unit-stride B panels in the
   /// micro-kernel, ~+20% on the embedding shapes — the ROADMAP packed-B
@@ -125,9 +119,8 @@ class DPEvaluator {
   /// batched GEMM per layer (nn::Mlp::forward_sweep/backward_sweep), so the
   /// fitting weights stream from cache once per sweep instead of once per
   /// block.  Per-item results are bitwise identical to evaluate_batch — the
-  /// batched driver preserves gemm_auto's accumulation order.  Fused
-  /// compressed path only (compressed && fused_table); other option
-  /// combinations fall back to sequential evaluate_batch semantics.
+  /// batched GEMM preserves gemm_auto's accumulation order.  Compressed
+  /// path only; the full-embedding pipeline evaluates the items one by one.
   /// evaluate_batch itself routes through here with njobs = 1, so the two
   /// entry points can never diverge.  `pool` (optional) spreads per-item
   /// work and the per-layer GEMM batches across threads; results do not
@@ -165,10 +158,12 @@ class DPEvaluator {
   struct FitTask;
 
   /// The fitting stage shared by batch_impl (ntasks = 1) and sweep_impl:
-  /// forward + energy head + dE/dD backward for every task, each net's
-  /// layers batched across tasks, honoring opts_.fitting_precision.
+  /// forward + energy head + dE/dD backward for every task, each net run
+  /// once over all tasks' rows of the per-type `caches`, honoring
+  /// opts_.fitting_precision.
   template <class T>
-  void fit_stage(FitTask<T>* tasks, int ntasks, rt::ThreadPool* pool);
+  void fit_stage(FitTask<T>* tasks, int ntasks,
+                 std::vector<nn::MlpCache<T>>& caches, rt::ThreadPool* pool);
 
   template <class T>
   void sweep_impl(const SweepJob* jobs, int njobs, rt::ThreadPool* pool);
@@ -194,15 +189,13 @@ class DPEvaluator {
   std::vector<nn::MlpCache<float>> emb_cache_f_;
   nn::MlpCache<double> fit_cache_d_;
   nn::MlpCache<float> fit_cache_f_;
-  // batched path: one fitting cache per center type — every type's forward
-  // completes before any backward runs, so the caches must not alias.  The
-  // fused sweep path reuses these as its per-type CONCATENATED slabs (all
-  // items' D rows of a type back to back), which is safe because a single
-  // evaluate_sweep call runs either the slab pipeline or the fused sweep,
-  // never both.
+  // batched paths: one fitting cache per center type — every type's
+  // forward completes before any backward runs, so the caches must not
+  // alias.  Each holds the CONCATENATED D rows of that type (all items'
+  // rows back to back; one item in the full-embedding pipeline).
   std::vector<nn::MlpCache<double>> fit_batch_cache_d_;
   std::vector<nn::MlpCache<float>> fit_batch_cache_f_;
-  // reduced-precision fitting scratch (shared by both paths, same argument).
+  // reduced-precision fitting scratch (same layout).
   std::vector<nn::MlpCache<float>> fit_batch_cache_rp_;
   std::vector<SweepSlot<double>> sweep_slots_d_;
   std::vector<SweepSlot<float>> sweep_slots_f_;

@@ -202,11 +202,10 @@ void PairDeepMD::scatter_item(const AtomEnvBatch& batch, int count,
 }
 
 void PairDeepMD::run_pass_sync() {
-  // Fitting-net fast path: a sync pass over fused compressed blocks runs as
-  // ONE gathered sweep — the fitting layers of every block batch into one
-  // GEMM per layer instead of one per block.
-  if (opts_.block_size > 1 && opts_.compressed && opts_.fused_table &&
-      pass_items_ > 0) {
+  // Fitting-net fast path: a sync pass over compressed blocks runs as ONE
+  // gathered sweep — the fitting layers of every block batch into one GEMM
+  // per layer instead of one per block.
+  if (opts_.block_size > 1 && opts_.compressed && pass_items_ > 0) {
     run_pass_sweep();
     return;
   }
@@ -388,12 +387,11 @@ bool PairDeepMD::per_atom_energy(md::Atoms& atoms,
 
 bool PairDeepMD::degrade_to_conservative() {
   DPMD_REQUIRE(!async_inflight_, "degrade with a partition in flight");
-  if (opts_.precision == Precision::Double && !opts_.fused_table &&
+  if (opts_.precision == Precision::Double &&
       opts_.fitting_precision == FittingPrecision::Inherit) {
     return false;  // already at the conservative floor
   }
   opts_.precision = Precision::Double;
-  opts_.fused_table = false;
   opts_.fitting_precision = FittingPrecision::Inherit;
   // Evaluators own precision-dependent workspaces; rebuild them against the
   // new options.  The shared pack still covers the degraded configuration

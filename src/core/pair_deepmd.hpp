@@ -79,10 +79,11 @@ class PairDeepMD : public md::Pair {
   bool per_atom_energy(md::Atoms& atoms, const md::NeighborList& list,
                        std::vector<double>& energies) override;
 
-  /// Health-guard fallback (ISSUE 6): rebuild every evaluator at fp64 with
-  /// the fused table off — the slow, maximally checked configuration the
-  /// accuracy tests pin against.  Drops the env caches; the engine's
-  /// post-rewind rebuild repopulates them.
+  /// Health-guard fallback: rebuild every evaluator in full fp64
+  /// (precision Double, fitting_precision Inherit).  Returns false when the
+  /// options are already there, so a default pair has nothing to degrade.
+  /// Drops the env caches; the engine's post-rewind rebuild repopulates
+  /// them.
   bool degrade_to_conservative() override;
 
   /// Cooperative cancellation (ISSUE 10): the token is polled between DP
@@ -128,7 +129,7 @@ class PairDeepMD : public md::Pair {
   /// the pass's blocks first (parallel), evaluate them through ONE
   /// DPEvaluator::evaluate_sweep — fitting-net layers batched across
   /// blocks — then scatter energies/forces into the per-thread buffers
-  /// (parallel).  Used by the sync passes when the fused compressed batched
+  /// (parallel).  Used by the sync passes when the compressed batched
   /// pipeline is selected; the async staged path keeps the per-block
   /// eval_item flow (its blocks must finish independently, and the two are
   /// numerically identical anyway).

@@ -447,32 +447,6 @@ void gemm_halfw(const float* a, const Half* b_half, float* c, int m, int n,
   }
 }
 
-void gemm_bf16w(const float* a, const Bf16* b_bf16, float* c, int m, int n,
-                int k, float alpha, float beta) {
-  // bf16-stored B, fp32 accumulation: same row-expansion scheme as
-  // gemm_halfw (one widening pass per B row, amortized over all M rows).
-  std::vector<float> brow_f(static_cast<std::size_t>(n));
-  for (int i = 0; i < m; ++i) {
-    float* __restrict crow = c + static_cast<std::size_t>(i) * n;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
-  for (int p = 0; p < k; ++p) {
-    convert_to_float(b_bf16 + static_cast<std::size_t>(p) * n, brow_f.data(),
-                     static_cast<std::size_t>(n));
-    for (int i = 0; i < m; ++i) {
-      const float av = alpha * a[static_cast<std::size_t>(i) * k + p];
-      float* __restrict crow = c + static_cast<std::size_t>(i) * n;
-      const float* __restrict br = brow_f.data();
-#pragma omp simd
-      for (int j = 0; j < n; ++j) crow[j] += av * br[j];
-    }
-  }
-}
-
 namespace {
 
 /// Applies a fused epilogue (table in gemm.hpp) to rows [i0, i1) x columns

@@ -88,13 +88,6 @@ void sve_gemm(const T* a, const T* b, T* c, int m, int n, int k,
 void gemm_halfw(const float* a, const Half* b_half, float* c, int m, int n,
                 int k, float alpha = 1.0f, float beta = 0.0f);
 
-/// A is fp32, B is bf16-stored (row-major K x N), accumulate in fp32: the
-/// reduced-precision fitting path's weight GEMM (same widening-load scheme
-/// as gemm_halfw, bf16's fp32-range exponent means trained weights never
-/// saturate the way binary16 can).
-void gemm_bf16w(const float* a, const Bf16* b_bf16, float* c, int m, int n,
-                int k, float alpha = 1.0f, float beta = 0.0f);
-
 /// GEMM-tail epilogue fused into gemm_batched's C writeback while the
 /// output tile is register/L1 resident — the dense-layer bias/activation/
 /// resnet passes (forward) and the act-grad/skip passes (backward) that

@@ -71,12 +71,10 @@ void Sim::rebuild_lists() {
   }
   build_ghosts();
   nlist_.build(atoms_, box_);
-  // Interior/boundary split for the staged path, pinned to the build
-  // positions: the classification (like the list) stays valid while atoms
-  // drift under the skin, because its guarantee is about neighbor indices.
-  if (cfg_.staged) {
-    classify_partition(atoms_, box_, nlist_.list_cutoff(), partition_);
-  }
+  // Interior/boundary split, pinned to the build positions: the
+  // classification (like the list) stays valid while atoms drift under the
+  // skin, because its guarantee is about neighbor indices.
+  classify_partition(atoms_, box_, nlist_.list_cutoff(), partition_);
   x_at_build_.assign(atoms_.x.begin(), atoms_.x.begin() + atoms_.nlocal);
   // Let the style drop/refresh list-derived caches (PairDeepMD keeps its
   // packed env-batch structure between rebuilds; see md::Pair).
@@ -87,34 +85,25 @@ void Sim::rebuild_lists() {
 
 void Sim::compute_forces(bool ghosts_stale) {
   atoms_.zero_forces();
-  ForceResult res;
-  if (cfg_.staged) {
-    // Staged order (same contract as comm::DomainEngine): the interior
-    // partition runs against possibly stale ghost positions — which it
-    // never reads — then the ghost refresh (the engine's "forward comm"),
-    // then the boundary partition and any deferred monolithic styles.
-    ForceAccum accum;
-    {
-      ScopedTimer timer(timers_, "pair");
-      pair_->begin_step(atoms_, nlist_);
-      pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
-    }
-    if (ghosts_stale) {
-      ScopedTimer timer(timers_, "comm");
-      refresh_ghost_positions();
-    }
-    {
-      ScopedTimer timer(timers_, "pair");
-      pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
-      res = pair_->end_step(atoms_, nlist_, accum);
-    }
-  } else {
-    if (ghosts_stale) {
-      ScopedTimer timer(timers_, "comm");
-      refresh_ghost_positions();
-    }
+  // Staged order (same contract as comm::DomainEngine): the interior
+  // partition runs against possibly stale ghost positions — which it never
+  // reads — then the ghost refresh (the engine's "forward comm"), then the
+  // boundary partition and any deferred monolithic styles.
+  ForceAccum accum;
+  {
     ScopedTimer timer(timers_, "pair");
-    res = pair_->compute(atoms_, nlist_);
+    pair_->begin_step(atoms_, nlist_);
+    pair_->compute_partition(atoms_, nlist_, partition_.interior, accum);
+  }
+  if (ghosts_stale) {
+    ScopedTimer timer(timers_, "comm");
+    refresh_ghost_positions();
+  }
+  ForceResult res;
+  {
+    ScopedTimer timer(timers_, "pair");
+    pair_->compute_partition(atoms_, nlist_, partition_.boundary, accum);
+    res = pair_->end_step(atoms_, nlist_, accum);
   }
   ScopedTimer timer(timers_, "pair");
   fold_ghost_forces();
@@ -174,7 +163,7 @@ void Sim::step() {
   if (rebuild) rebuild_lists();
 
   // On non-rebuild steps the ghost refresh happens inside compute_forces:
-  // the staged path evaluates the interior partition first and refreshes
+  // the interior partition is evaluated first and the refresh happens
   // "during" it (the distributed engine genuinely overlaps here).
   compute_forces(/*ghosts_stale=*/!rebuild);
 

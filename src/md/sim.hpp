@@ -27,15 +27,6 @@ struct SimConfig {
   double skin = 2.0;
   int rebuild_every = 50;     ///< paper: lists rebuilt every 50 steps
   bool rebuild_on_drift = true;  ///< also rebuild when drift > skin/2
-  /// Route force evaluation through the staged Pair surface (ISSUE 3):
-  /// interior partition evaluated first (before the ghost positions are
-  /// refreshed — its stencils cannot reach a ghost), then the ghost
-  /// refresh, then the boundary partition.  The single-process engine has
-  /// nothing to overlap, but it exercises and validates the identical API
-  /// and ordering contract the distributed DomainEngine relies on; off =
-  /// the legacy refresh-then-monolithic-compute order.
-  bool staged = true;
-
   /// Numerical health guard + rewind recovery (ISSUE 6).
   HealthConfig health;
 };
@@ -49,6 +40,13 @@ struct SimConfig {
 /// communication", Newton's third law on).  The distributed version of the
 /// same loop lives in src/comm (DomainEngine) and is validated against this
 /// engine.
+///
+/// Force evaluation runs through the staged Pair surface: the
+/// interior partition first (before the ghost positions are refreshed — its
+/// stencils cannot reach a ghost), then the ghost refresh, then the
+/// boundary partition.  The single-process engine has nothing to overlap,
+/// but it exercises the identical API and ordering contract the distributed
+/// DomainEngine relies on.
 class Sim {
  public:
   Sim(Box box, Atoms atoms, std::vector<double> masses,
@@ -72,7 +70,7 @@ class Sim {
   const Box& box() const { return box_; }
   const std::vector<double>& masses() const { return masses_; }
   const NeighborList& nlist() const { return nlist_; }
-  /// Interior/boundary split of the last list build (staged path).
+  /// Interior/boundary split of the last list build.
   const StagePartition& partition() const { return partition_; }
   Pair& pair() { return *pair_; }
   int steps_done() const { return steps_done_; }
@@ -116,8 +114,8 @@ class Sim {
   void fold_ghost_forces();
   void rebuild_lists();
   /// `ghosts_stale` = ghost positions still need the per-step refresh (any
-  /// non-rebuild step); the staged path refreshes them between the interior
-  /// and boundary partitions, the legacy path up front.
+  /// non-rebuild step); they are refreshed between the interior and
+  /// boundary partitions.
   void compute_forces(bool ghosts_stale);
   bool drift_exceeds_skin() const;
   /// In-memory rewind snapshot (framed checkpoint bytes).

@@ -18,8 +18,7 @@ namespace {
 template <class T>
 void run_gemm(GemmKind kind, const T* a, const T* b,
               const std::vector<T>& b_packed, T* c, int m, int n, int k,
-              const std::vector<Half>& b_half, const std::vector<Bf16>& b_bf16,
-              bool allow_packed) {
+              const std::vector<Half>& b_half, bool allow_packed) {
   const bool have_packed = allow_packed && !b_packed.empty();
   switch (kind) {
     case GemmKind::Ref:
@@ -47,17 +46,7 @@ void run_gemm(GemmKind kind, const T* a, const T* b,
       } else {
         // fp16 storage only makes sense in the fp32 pipeline; fall back so
         // double-precision baselines can share the code path.
-        run_gemm(GemmKind::Auto, a, b, b_packed, c, m, n, k, b_half, b_bf16,
-                 allow_packed);
-        return;
-      }
-    case GemmKind::Bf16Weights:
-      if constexpr (std::is_same_v<T, float>) {
-        DPMD_REQUIRE(!b_bf16.empty(), "layer not finalized for bf16 weights");
-        gemm::gemm_bf16w(a, b_bf16.data(), c, m, n, k);
-        return;
-      } else {
-        run_gemm(GemmKind::Auto, a, b, b_packed, c, m, n, k, b_half, b_bf16,
+        run_gemm(GemmKind::Auto, a, b, b_packed, c, m, n, k, b_half,
                  allow_packed);
         return;
       }
@@ -90,8 +79,6 @@ void DenseLayer<T>::finalize() {
       w_half[i] = Half(static_cast<float>(w.d[i]));
     }
   }
-  w_bf16.resize(w.size());
-  convert_to_bf16(w.data(), w_bf16.data(), w.size());
   // Packed-panel forms for gemm_packed (once per weight update, reused by
   // every forward/backward GEMM).
   w_packed.resize(w.size());
@@ -108,7 +95,7 @@ void DenseLayer<T>::forward(const T* x, T* y, T* h_cache, int batch,
   // exceed L2, so every extra slab sweep is a round trip to L3 (vtanh keeps
   // the activation vectorized at row granularity).
   run_gemm(kind, x, w.data(), w_packed, h_cache, batch, out, in, w_half,
-           w_bf16, packed);
+           packed);
   const T* __restrict bias = b.data();
   for (int r = 0; r < batch; ++r) {
     T* __restrict hr = h_cache + static_cast<std::size_t>(r) * out;
@@ -189,11 +176,9 @@ void DenseLayer<T>::backward_input(const T* dy, const T* h_cache, T* dx,
   apply_act_grad(act, dy, h_cache, scratch.data(), batch, out);
   // dx = dy_lin * W^T, executed as GEMM-NN against the pre-transposed wt.
   const GemmKind data_kind =
-      kind == GemmKind::HalfWeights || kind == GemmKind::Bf16Weights
-          ? GemmKind::Auto
-          : kind;
+      kind == GemmKind::HalfWeights ? GemmKind::Auto : kind;
   run_gemm(data_kind, scratch.data(), wt.data(), wt_packed, dx, batch, in,
-           out, w_half, w_bf16, packed);
+           out, w_half, packed);
   add_skip_grad(resnet, dy, dx, batch, in, out);
 }
 
@@ -221,11 +206,9 @@ void DenseLayer<T>::backward_full(const T* x, const T* dy, const T* h_cache,
   }
 
   const GemmKind data_kind =
-      kind == GemmKind::HalfWeights || kind == GemmKind::Bf16Weights
-          ? GemmKind::Auto
-          : kind;
+      kind == GemmKind::HalfWeights ? GemmKind::Auto : kind;
   run_gemm(data_kind, scratch.data(), wt.data(), wt_packed, dx, batch, in,
-           out, w_half, w_bf16, packed);
+           out, w_half, packed);
   add_skip_grad(resnet, dy, dx, batch, in, out);
 }
 

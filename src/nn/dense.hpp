@@ -9,10 +9,10 @@ namespace dpmd::nn {
 
 /// Which GEMM backend a layer uses — this is the knob the paper's
 /// step-by-step computation study (Fig. 9) turns: generic blocked ("BLAS"),
-/// the small-M sve_gemm, automatic dispatch, or the reduced-storage weight
-/// variants (fp16 per §III-B3, bf16 for the fitting-precision knob — both
-/// accumulate in fp32 and fall back to Auto in the double pipeline).
-enum class GemmKind { Ref, Blocked, Sve, Auto, HalfWeights, Bf16Weights };
+/// the small-M sve_gemm, automatic dispatch, or fp16-stored weights
+/// (§III-B3; accumulates in fp32 and falls back to Auto in the double
+/// pipeline).
+enum class GemmKind { Ref, Blocked, Sve, Auto, HalfWeights };
 
 /// DeePMD-style residual connection: layers with out == in add x, layers
 /// with out == 2*in add [x, x] (the embedding net's widening trick).
@@ -37,7 +37,6 @@ struct DenseLayer {
   Matrix<T> wt;            ///< out x in, rebuilt by finalize()
   std::vector<T> b;        ///< out
   std::vector<Half> w_half;  ///< fp16 copy of w for GemmKind::HalfWeights
-  std::vector<Bf16> w_bf16;  ///< bf16 copy of w for GemmKind::Bf16Weights
   /// Packed-panel copies of w / wt (gemm::pack_b layout), rebuilt by
   /// finalize(); the Blocked/Auto batch GEMMs run gemm_packed against
   /// these so every weight access in the micro-kernel is unit-stride.

@@ -221,7 +221,7 @@ void Mlp<T>::backward_sweep(const MlpSweepItem<T>* items, int nitems,
   if (nitems <= 0) return;
   // Reduced-storage weight kinds run their data backward against the full
   // fp32/fp64 weights, exactly as DenseLayer::backward_input does.
-  if (kind == GemmKind::HalfWeights || kind == GemmKind::Bf16Weights) {
+  if (kind == GemmKind::HalfWeights) {
     kind = GemmKind::Auto;
   }
   // Whole-net eligibility: the fused chain threads each layer's act-grad

@@ -134,7 +134,7 @@ class Mlp {
   /// Results are bitwise identical to per-item forward_batch /
   /// backward_input_batch calls.  Layers whose GEMM backend or
   /// act/resnet combination the fused driver does not cover (Sve/Ref/
-  /// HalfWeights/Bf16Weights kinds, Doubled resnets, non-tanh hidden
+  /// HalfWeights kinds, Doubled resnets, non-tanh hidden
   /// activations) fall back to the per-item path for that layer (forward)
   /// or for the whole net (backward) transparently.
   ///

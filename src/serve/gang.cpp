@@ -15,7 +15,7 @@ bool same_eval_options(const dp::EvalOptions& a, const dp::EvalOptions& b) {
          a.compressed == b.compressed &&
          a.compression_bins == b.compression_bins &&
          a.compression_s_max == b.compression_s_max &&
-         a.fused_table == b.fused_table && a.packed_gemm == b.packed_gemm;
+         a.packed_gemm == b.packed_gemm;
 }
 
 void merge_env_batches(const dp::AtomEnvBatch* const* parts, int nparts,

@@ -251,10 +251,43 @@ SimService::SimService(std::shared_ptr<ModelRegistry> registry,
 SimService::~SimService() { shutdown(ShutdownMode::Now); }
 
 JobId SimService::submit(JobSpec spec) {
+  // Untrusted-input boundary: everything a worker would index by or loop on
+  // is checked here, once, O(natoms), before the job is queued — an
+  // out-of-range type would index past the per-type nets, an infinite
+  // coordinate or an empty box dimension would spin Box::wrap forever.
   DPMD_REQUIRE(registry_->has(spec.model), "submit: unknown model name");
   DPMD_REQUIRE(!spec.x.empty(), "submit: empty system");
   DPMD_REQUIRE(spec.type.size() == spec.x.size(),
                "submit: type/x size mismatch");
+  DPMD_REQUIRE(spec.v.empty() || spec.v.size() == spec.x.size(),
+               "submit: v/x size mismatch");
+  for (int d = 0; d < 3; ++d) {
+    DPMD_REQUIRE(std::isfinite(spec.box.lo[d]) &&
+                     std::isfinite(spec.box.hi[d]) &&
+                     spec.box.hi[d] > spec.box.lo[d],
+                 "submit: box needs finite hi > lo in every dimension");
+  }
+  const int ntypes = registry_->model(spec.model)->config().ntypes;
+  const auto finite = [](const Vec3& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
+  };
+  for (std::size_t i = 0; i < spec.x.size(); ++i) {
+    DPMD_REQUIRE(spec.type[i] >= 0 && spec.type[i] < ntypes,
+                 "submit: atom type out of range [0, ntypes)");
+    DPMD_REQUIRE(finite(spec.x[i]), "submit: non-finite position");
+  }
+  for (const Vec3& v : spec.v) {
+    DPMD_REQUIRE(finite(v), "submit: non-finite velocity");
+  }
+  // A zero or non-finite mass (or timestep) sends positions to infinity on
+  // the first kick, and Box::wrap never returns on an infinite coordinate.
+  for (const double m : spec.masses) {
+    DPMD_REQUIRE(std::isfinite(m) && m > 0.0,
+                 "submit: masses must be finite and > 0");
+  }
+  DPMD_REQUIRE(spec.kind != JobKind::Trajectory ||
+                   (std::isfinite(spec.dt_fs) && spec.dt_fs > 0.0),
+               "submit: dt_fs must be finite and > 0");
   spec.max_attempts = std::max(1, spec.max_attempts);
   const auto now = Clock::now();
   std::lock_guard lock(mu_);

@@ -78,35 +78,4 @@ void convert_to_float(const Half* src, float* dst, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) dst[i] = half_bits_to_float(src[i].bits);
 }
 
-uint16_t float_to_bf16_bits(float f) noexcept {
-  const uint32_t x = std::bit_cast<uint32_t>(f);
-  if ((x & 0x7f800000u) == 0x7f800000u && (x & 0x007fffffu) != 0u) {
-    // NaN: truncate the payload but keep the mantissa non-zero so the
-    // result stays NaN instead of decaying to infinity.
-    return static_cast<uint16_t>((x >> 16) | 0x0040u);
-  }
-  // Round to nearest even: add 0x7fff plus the parity of the kept LSB; a
-  // mantissa carry correctly bumps the exponent (saturating to infinity).
-  const uint32_t rounded = x + 0x7fffu + ((x >> 16) & 1u);
-  return static_cast<uint16_t>(rounded >> 16);
-}
-
-float bf16_bits_to_float(uint16_t b) noexcept {
-  return std::bit_cast<float>(static_cast<uint32_t>(b) << 16);
-}
-
-void convert_to_bf16(const float* src, Bf16* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i].bits = float_to_bf16_bits(src[i]);
-}
-
-void convert_to_bf16(const double* src, Bf16* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i].bits = float_to_bf16_bits(static_cast<float>(src[i]));
-  }
-}
-
-void convert_to_float(const Bf16* src, float* dst, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = bf16_bits_to_float(src[i].bits);
-}
-
 }  // namespace dpmd

@@ -38,32 +38,4 @@ void convert_to_float(const Half* src, float* dst, std::size_t n) noexcept;
 inline constexpr float kHalfMax = 65504.0f;
 inline constexpr float kHalfMinNormal = 6.103515625e-05f;
 
-/// bfloat16: the top 16 bits of an IEEE binary32 (8-bit exponent, 7-bit
-/// mantissa), rounded to nearest even.  Same dynamic range as fp32 — unlike
-/// binary16 it never overflows on trained weights — at half the storage,
-/// which is what the reduced-precision fitting path stores its weight
-/// panels in (§III-B3 lineage; accumulation stays fp32).
-uint16_t float_to_bf16_bits(float f) noexcept;
-float bf16_bits_to_float(uint16_t b) noexcept;
-
-struct Bf16 {
-  uint16_t bits = 0;
-
-  Bf16() = default;
-  explicit Bf16(float f) : bits(float_to_bf16_bits(f)) {}
-  explicit Bf16(double d) : bits(float_to_bf16_bits(static_cast<float>(d))) {}
-
-  float to_float() const noexcept { return bf16_bits_to_float(bits); }
-  explicit operator float() const noexcept { return to_float(); }
-  explicit operator double() const noexcept { return to_float(); }
-
-  friend bool operator==(Bf16 a, Bf16 b) {
-    return a.to_float() == b.to_float();
-  }
-};
-
-void convert_to_bf16(const float* src, Bf16* dst, std::size_t n) noexcept;
-void convert_to_bf16(const double* src, Bf16* dst, std::size_t n) noexcept;
-void convert_to_float(const Bf16* src, float* dst, std::size_t n) noexcept;
-
 }  // namespace dpmd

@@ -178,9 +178,9 @@ TEST(Cadence, LjRefreshStepsMatchFreshEvaluation) {
 }
 
 TEST(Cadence, LjAllSchedulesAgreeUnderCadence) {
-  // The three step schedules (legacy monolithic, staged sequential, staged
-  // overlapped) must agree through the refresh path exactly as they do
-  // through the rebuild path.
+  // The two step schedules (staged sequential, staged overlapped) must
+  // agree with each other and with the single-process md::Sim on the same
+  // cadence, through the refresh path exactly as through the rebuild path.
   const GlobalSystem sys = make_lj_gas(120, 24.0, 50.0, 40.0, 23);
   const simmpi::CartGrid grid(2, 1, 1);
   const auto mk = [] { return make_lj(5.0); };
@@ -206,20 +206,32 @@ TEST(Cadence, LjAllSchedulesAgreeUnderCadence) {
   };
 
   comm::DomainConfig base{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5};
-  base.staged = false;
-  const Run legacy = run_cfg(base);
-  base.staged = true;
   base.overlap = false;
   const Run sequential = run_cfg(base);
   base.overlap = true;
   const Run overlapped = run_cfg(base);
 
-  ASSERT_EQ(legacy.atoms.size(), sys.x.size());
-  for (std::size_t i = 0; i < legacy.atoms.size(); ++i) {
-    EXPECT_LT((sequential.atoms[i].x - legacy.atoms[i].x).norm(), 1e-9);
-    EXPECT_LT((overlapped.atoms[i].x - legacy.atoms[i].x).norm(), 1e-9);
-    EXPECT_LT((sequential.atoms[i].f - legacy.atoms[i].f).norm(), 1e-9);
-    EXPECT_LT((overlapped.atoms[i].f - legacy.atoms[i].f).norm(), 1e-9);
+  md::Atoms atoms;
+  for (std::size_t i = 0; i < sys.x.size(); ++i) {
+    atoms.add_local(sys.x[i], sys.v[i], sys.type[i],
+                    static_cast<std::int64_t>(i));
+  }
+  md::Sim sim(sys.box, std::move(atoms), sys.masses, mk(),
+              {.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5});
+  sim.run(steps);
+
+  ASSERT_EQ(sequential.atoms.size(), sys.x.size());
+  ASSERT_EQ(overlapped.atoms.size(), sys.x.size());
+  for (std::size_t i = 0; i < sequential.atoms.size(); ++i) {
+    EXPECT_LT((overlapped.atoms[i].x - sequential.atoms[i].x).norm(), 1e-9);
+    EXPECT_LT((overlapped.atoms[i].f - sequential.atoms[i].f).norm(), 1e-9);
+    for (const Run* run : {&sequential, &overlapped}) {
+      const auto& a = run->atoms[i];
+      const auto tag = static_cast<std::size_t>(a.tag);
+      EXPECT_LT(sys.box.minimum_image(a.x, sim.atoms().x[tag]).norm(), 1e-9)
+          << "tag " << a.tag;
+      EXPECT_LT((a.f - sim.atoms().f[tag]).norm(), 1e-9) << "tag " << a.tag;
+    }
   }
 }
 

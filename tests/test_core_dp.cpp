@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -462,12 +463,10 @@ TEST(Precision, NamesForReports) {
   EXPECT_STREQ(precision_name(Precision::MixFp16), "MIX-fp16");
   EXPECT_STREQ(fitting_precision_name(FittingPrecision::Inherit), "inherit");
   EXPECT_STREQ(fitting_precision_name(FittingPrecision::Fp32), "fp32");
-  EXPECT_STREQ(fitting_precision_name(FittingPrecision::Bf16), "bf16");
 }
 
 // Reduced-precision fitting inside the fp64 pipeline (ISSUE 9, §III-B3):
-// hidden fitting layers in fp32 (optionally bf16-stored first-layer
-// weights), fp64 energy head + descriptor/force chain.  Oracle = the same
+// hidden fitting layers in fp32, fp64 energy head + descriptor/force chain.  Oracle = the same
 // options at FittingPrecision::Inherit (pure fp64).
 Evaluated eval_fitprec(const std::shared_ptr<DPModel>& model,
                        FittingPrecision fp, const md::Box& box,
@@ -505,23 +504,6 @@ TEST(FittingPrecision, Fp32FitTracksFp64Oracle) {
   EXPECT_LT(max_force_rel_err(e32, e64), 1e-5);
   // It must actually run reduced — bit-identity would mean the knob is dead.
   EXPECT_GT(std::fabs(e32.pe - e64.pe), 0.0);
-}
-
-TEST(FittingPrecision, Bf16FitBounded) {
-  Rng rng(67);
-  auto model = small_model();
-  const md::Box box({0, 0, 0}, {14, 14, 14});
-  md::Atoms atoms = random_config(90, box, 2, rng);
-
-  const Evaluated e64 = eval_fitprec(model, FittingPrecision::Inherit, box,
-                                     atoms);
-  const Evaluated e16 = eval_fitprec(model, FittingPrecision::Bf16, box,
-                                     atoms);
-  // bf16-stored first-layer weights: 8 mantissa bits, so looser than fp32
-  // but still bounded (fp32 accumulate, fp64 head).
-  EXPECT_NEAR(e16.pe / atoms.nlocal, e64.pe / atoms.nlocal, 1e-2);
-  EXPECT_LT(max_force_rel_err(e16, e64), 1e-2);
-  EXPECT_GT(std::fabs(e16.pe - e64.pe), 0.0);
 }
 
 TEST(FittingPrecision, RequiresDoublePipeline) {
@@ -990,21 +972,22 @@ TEST(DpBatch, EvaluateBatchDirectMatchesEvaluateAtom) {
 
 // -------------------------------------- fused tabulate-contraction (IS5) ----
 
-/// Full-pipeline fused vs unfused comparison on one configuration: same
-/// model, same positions, only EvalOptions::fused_table differs.
-void expect_fused_matches_unfused(const std::shared_ptr<DPModel>& model,
-                                  const md::Box& box, const md::Atoms& atoms,
-                                  Precision prec, double tol,
-                                  double s_max = 0.0) {
+/// Full-pipeline fused sweep vs the per-atom oracle (block_size = 1, the
+/// evaluate_atom path: table rows through eval_row, then the explicit
+/// contraction loops) on one configuration: same model, same positions,
+/// same table, only the block size differs.
+void expect_fused_matches_per_atom(const std::shared_ptr<DPModel>& model,
+                                   const md::Box& box, const md::Atoms& atoms,
+                                   Precision prec, double tol,
+                                   double s_max = 0.0) {
   EvalOptions opts;
   opts.precision = prec;
   opts.compressed = true;
   opts.compression_s_max = s_max;
+  opts.block_size = 1;
+  const Evaluated ref = eval_config(model, opts, box, atoms);
   for (const int block : {8, 64}) {
     opts.block_size = block;
-    opts.fused_table = false;
-    const Evaluated ref = eval_config(model, opts, box, atoms);
-    opts.fused_table = true;
     const Evaluated got = eval_config(model, opts, box, atoms);
     EXPECT_LT(rel_diff(got.pe, ref.pe), tol) << "pe, block=" << block;
     EXPECT_LT(rel_diff(got.virial, ref.virial), tol)
@@ -1021,8 +1004,8 @@ void expect_fused_matches_unfused(const std::shared_ptr<DPModel>& model,
   }
 }
 
-TEST(DpFused, MatchesUnfusedDoubleAtTightTolerance) {
-  // ISSUE 5 acceptance bar: fused == unfused at <= 1e-12 in fp64.  Mixed
+TEST(DpFused, MatchesPerAtomDoubleAtTightTolerance) {
+  // Acceptance bar: fused == per-atom at <= 1e-12 in fp64.  Mixed
   // types, plus two isolated atoms (zero-neighbor slots: the fused drivers
   // must still emit their zero-descriptor energy and an exactly empty
   // backward).
@@ -1038,20 +1021,20 @@ TEST(DpFused, MatchesUnfusedDoubleAtTightTolerance) {
   // through the periodic wrap), beyond the 4.5 A cutoff.
   atoms.add_local({16.5, 3.0, 3.0}, {0, 0, 0}, 0, 30);
   atoms.add_local({16.5, 8.0, 8.0}, {0, 0, 0}, 1, 31);
-  expect_fused_matches_unfused(model, box, atoms, Precision::Double, 1e-12);
+  expect_fused_matches_per_atom(model, box, atoms, Precision::Double, 1e-12);
 }
 
-TEST(DpFused, MatchesUnfusedWithEmptyTypeSegments) {
+TEST(DpFused, MatchesPerAtomWithEmptyTypeSegments) {
   // Every atom is type 0 under a two-type model: all type-1 segments are
   // empty in every block, the empty-segment skip of both drivers.
   Rng rng(223);
   auto model = small_model();
   const md::Box box({0, 0, 0}, {11, 11, 11});
   md::Atoms atoms = random_config(24, box, 1, rng);
-  expect_fused_matches_unfused(model, box, atoms, Precision::Double, 1e-12);
+  expect_fused_matches_per_atom(model, box, atoms, Precision::Double, 1e-12);
 }
 
-TEST(DpFused, MatchesUnfusedAcrossClampAndExtensionBins) {
+TEST(DpFused, MatchesPerAtomAcrossClampAndExtensionBins) {
   // A deliberately short table (compression_s_max = 0.4) pushes many rows
   // past s_max into the linear-extension branch, and close pairs visit the
   // top bins; the fused Horner must track eval_row through both.
@@ -1059,20 +1042,20 @@ TEST(DpFused, MatchesUnfusedAcrossClampAndExtensionBins) {
   auto model = small_model();
   const md::Box box({0, 0, 0}, {11, 11, 11});
   md::Atoms atoms = random_config(30, box, 2, rng, /*min_sep=*/1.0);
-  expect_fused_matches_unfused(model, box, atoms, Precision::Double, 1e-12,
+  expect_fused_matches_per_atom(model, box, atoms, Precision::Double, 1e-12,
                                /*s_max=*/0.4);
 }
 
-TEST(DpFused, MixModesMatchUnfusedWithinMixTolerance) {
+TEST(DpFused, MixModesMatchPerAtomWithinMixTolerance) {
   // The fused Mix kernels evaluate the fp32 coefficient table natively
-  // (the unfused path tabulates in fp64 and casts), so agreement is fp32
+  // (the per-atom path tabulates in fp64 and casts), so agreement is fp32
   // round-off — the same tolerance the batched-vs-per-atom mix tests use.
   Rng rng(229);
   auto model = small_model();
   const md::Box box({0, 0, 0}, {11, 11, 11});
   md::Atoms atoms = random_config(30, box, 2, rng);
-  expect_fused_matches_unfused(model, box, atoms, Precision::MixFp32, 5e-4);
-  expect_fused_matches_unfused(model, box, atoms, Precision::MixFp16, 5e-4);
+  expect_fused_matches_per_atom(model, box, atoms, Precision::MixFp32, 5e-4);
+  expect_fused_matches_per_atom(model, box, atoms, Precision::MixFp16, 5e-4);
 }
 
 TEST(DpFused, ContractRowsMatchEvalRowReference) {
@@ -1176,12 +1159,13 @@ TEST(DpFused, ContractRowsMatchEvalRowReference) {
   }
 }
 
-TEST(DpFused, RefreshedBatchMatchesRebuiltAndUnfused) {
+TEST(DpFused, RefreshedBatchMatchesRebuiltAndPerAtom) {
   // The steady-state fast path: a keep_list_rows batch refreshed after
-  // drift, evaluated through the fused drivers, must match (a) the unfused
-  // slab pipeline on the identical batch at <= 1e-12 and (b) the fused
-  // evaluation of a freshly rebuilt rcut-filtered batch — skin tails
-  // contribute exactly nothing through the fused sweep too.
+  // drift, evaluated through the fused kernels, must match (a) the
+  // per-atom oracle (evaluate_atom on each center's rcut-filtered env at
+  // the drifted positions) and (b) the fused evaluation of a freshly
+  // rebuilt rcut-filtered batch — skin tails contribute exactly nothing
+  // through the fused sweep too.
   auto model = small_model();
   const auto& dparams = model->config().descriptor;
   Rng rng(239);
@@ -1216,28 +1200,49 @@ TEST(DpFused, RefreshedBatchMatchesRebuiltAndUnfused) {
   build_env_batch(atoms, list, centers.data(), atoms.nlocal, dparams, 2,
                   filtered, /*keep_list_rows=*/false);
 
-  EvalOptions fused_opts;
-  EvalOptions unfused_opts;
-  unfused_opts.fused_table = false;
-  DPEvaluator ev_fused(model, fused_opts);
-  DPEvaluator ev_unfused(model, unfused_opts);
+  DPEvaluator ev(model, EvalOptions{});
+  std::vector<double> e_fused, e_filt;
+  std::vector<Vec3> d_fused, d_filt;
+  ev.evaluate_batch(reuse, e_fused, d_fused);
+  ev.evaluate_batch(filtered, e_filt, d_filt);
+  ASSERT_EQ(e_fused.size(), e_filt.size());
 
-  std::vector<double> e_fused, e_unfused, e_filt;
-  std::vector<Vec3> d_fused, d_unfused, d_filt;
-  ev_fused.evaluate_batch(reuse, e_fused, d_fused);
-  ev_unfused.evaluate_batch(reuse, e_unfused, d_unfused);
-  ev_fused.evaluate_batch(filtered, e_filt, d_filt);
-
-  ASSERT_EQ(e_fused.size(), e_unfused.size());
-  for (std::size_t a = 0; a < e_fused.size(); ++a) {
-    EXPECT_LT(rel_diff(e_fused[a], e_unfused[a]), 1e-12) << a;
-    EXPECT_LT(rel_diff(e_fused[a], e_filt[a]), 1e-12) << a;
+  // Per-atom oracle.  The refreshed batch's in-range rows are the active
+  // prefix of each segment, possibly permuted vs the list order, so rows
+  // are matched by (center, neighbor index).
+  std::map<std::pair<int, int>, Vec3> fused_rows;
+  for (int t = 0; t < reuse.ntypes; ++t) {
+    for (int a = 0; a < reuse.natoms; ++a) {
+      const int lo =
+          reuse.seg_offset[static_cast<std::size_t>(t) * reuse.natoms + a];
+      for (int r = lo; r < lo + reuse.active_rows(t, a); ++r) {
+        fused_rows[{a, reuse.nbr_index[static_cast<std::size_t>(r)]}] =
+            d_fused[static_cast<std::size_t>(r)];
+      }
+    }
   }
-  for (std::size_t r = 0; r < d_fused.size(); ++r) {
-    EXPECT_LT((d_fused[r] - d_unfused[r]).norm(),
-              1e-12 * std::max(1.0, d_unfused[r].norm()))
-        << r;
+  AtomEnv env;
+  std::vector<Vec3> dedd;
+  std::size_t nrows = 0;
+  for (int a = 0; a < atoms.nlocal; ++a) {
+    build_env(atoms, list, a, dparams, 2, env);
+    const double e = ev.evaluate_atom(env, dedd);
+    EXPECT_LT(rel_diff(e_fused[static_cast<std::size_t>(a)], e), 1e-12) << a;
+    EXPECT_LT(rel_diff(e_fused[static_cast<std::size_t>(a)],
+                       e_filt[static_cast<std::size_t>(a)]),
+              1e-12)
+        << a;
+    nrows += static_cast<std::size_t>(env.nnei());
+    for (int k = 0; k < env.nnei(); ++k) {
+      const auto it =
+          fused_rows.find({a, env.nbr_index[static_cast<std::size_t>(k)]});
+      ASSERT_NE(it, fused_rows.end()) << a << "/" << k;
+      const Vec3& ref = dedd[static_cast<std::size_t>(k)];
+      EXPECT_LT((it->second - ref).norm(), 1e-12 * std::max(1.0, ref.norm()))
+          << a << "/" << k;
+    }
   }
+  EXPECT_EQ(nrows, fused_rows.size());
   // Skin-tail rows are exact zeros out of the fused backward.
   for (int t = 0; t < reuse.ntypes; ++t) {
     for (int a = 0; a < reuse.natoms; ++a) {
@@ -1339,11 +1344,11 @@ TEST(DpBatch, FullEmbeddingActivePackMatchesFilteredBatch) {
   }
 }
 
-TEST(DpFused, TrajectoryMatchesUnfusedRecomputationEveryStep) {
+TEST(DpFused, TrajectoryMatchesPerAtomRecomputationEveryStep) {
   // The acceptance pin: a fused-driven NVE trajectory whose forces are
-  // recomputed every step by the unfused pipeline at the same positions
-  // agrees to <= 1e-12 — no drift source besides round-off exists between
-  // the two pipelines.
+  // recomputed every step by the per-atom oracle (block_size = 1) at the
+  // same positions agrees to <= 1e-12 — no drift source besides round-off
+  // exists between the two pipelines.
   Rng rng(241);
   auto model = small_model(/*ntypes=*/1, /*seed=*/103);
   const md::Box box({0, 0, 0}, {12, 12, 12});
@@ -1356,8 +1361,8 @@ TEST(DpFused, TrajectoryMatchesUnfusedRecomputationEveryStep) {
               {.dt_fs = 0.25, .skin = 1.0, .rebuild_every = 10});
   sim.setup();
 
-  EvalOptions unfused = opts;
-  unfused.fused_table = false;
+  EvalOptions per_atom = opts;
+  per_atom.block_size = 1;
   for (int s = 0; s < 20; ++s) {
     sim.step();
     md::Atoms snap;
@@ -1366,7 +1371,7 @@ TEST(DpFused, TrajectoryMatchesUnfusedRecomputationEveryStep) {
                      {0, 0, 0},
                      sim.atoms().type[static_cast<std::size_t>(i)], i);
     }
-    const Evaluated ref = eval_config(model, unfused, box, snap);
+    const Evaluated ref = eval_config(model, per_atom, box, snap);
     double fscale = 1.0;
     for (const Vec3& f : ref.forces) fscale = std::max(fscale, f.norm());
     for (int i = 0; i < sim.atoms().nlocal; ++i) {
@@ -1395,6 +1400,50 @@ TEST(DpPair, PerAtomEnergySumsToTotal) {
   double sum = 0.0;
   for (const double e : energies) sum += e;
   EXPECT_NEAR(sum, res.pe, 1e-9);
+}
+
+TEST(DpPair, DegradeToConservativeReachesDefaultPipeline) {
+  // The health guard's last rung: a reduced-precision pair degrades once to
+  // full fp64 (precision Double, fitting Inherit) and from then on computes
+  // exactly what a default-options pair computes — bit for bit, since both
+  // run the same fp64 sweep over the same tables.  A second call, and a
+  // call on a pair already at the floor, report there is nothing left.
+  Rng rng(257);
+  auto model = small_model();
+  const md::Box box({0, 0, 0}, {11, 11, 11});
+  md::Atoms atoms = random_config(40, box, 2, rng);
+  md::build_periodic_ghosts(atoms, box, model->config().descriptor.rcut);
+  md::NeighborList list({model->config().descriptor.rcut, 0.0, true});
+  list.build(atoms, box);
+
+  const auto compute = [&](PairDeepMD& pair) {
+    md::Atoms work = atoms;
+    work.zero_forces();
+    const md::ForceResult res = pair.compute(work, list);
+    return std::make_pair(res.pe, work.f);
+  };
+  PairDeepMD fresh(model, EvalOptions{});
+  const auto [pe_ref, f_ref] = compute(fresh);
+
+  EvalOptions fit32;
+  fit32.fitting_precision = FittingPrecision::Fp32;
+  EvalOptions mix32;
+  mix32.precision = Precision::MixFp32;
+  for (const EvalOptions& opts : {fit32, mix32}) {
+    PairDeepMD pair(model, opts);
+    const auto [pe_before, f_before] = compute(pair);
+    EXPECT_NE(pe_before, pe_ref);  // it really ran reduced
+    ASSERT_TRUE(pair.degrade_to_conservative());
+    EXPECT_EQ(pair.options().precision, Precision::Double);
+    EXPECT_EQ(pair.options().fitting_precision, FittingPrecision::Inherit);
+    const auto [pe, f] = compute(pair);
+    EXPECT_EQ(pe, pe_ref);
+    ASSERT_EQ(f.size(), f_ref.size());
+    EXPECT_EQ(std::memcmp(f.data(), f_ref.data(), f.size() * sizeof(Vec3)),
+              0);
+    EXPECT_FALSE(pair.degrade_to_conservative());
+  }
+  EXPECT_FALSE(fresh.degrade_to_conservative());
 }
 
 }  // namespace

@@ -351,7 +351,7 @@ TEST(Rebalance, InfeasibleGeometryIsRejectedAtConstruction) {
 }
 
 // ---------------------------------------------------------------------------
-// Composition: cadence 50, overlap on/off, legacy schedule
+// Composition: cadence 50, overlap on/off
 // ---------------------------------------------------------------------------
 
 TEST(Rebalance, ComposesWithCadenceFifty) {
@@ -370,23 +370,20 @@ TEST(Rebalance, ComposesWithCadenceFifty) {
   EXPECT_GE(report.rebalances, 1);
 }
 
-TEST(Rebalance, ComposesWithOverlapOnOffAndLegacy) {
+TEST(Rebalance, ComposesWithOverlapOnAndOff) {
+  // Both step schedules, each checked against the fresh-evaluation oracle
+  // after every step.
   const GlobalSystem sys =
       make_droplet(48, 32.0, {11.5, 11.5, 16.0}, 10.5, 40.0, 40.0, 97);
   const simmpi::CartGrid grid(2, 2, 1);
   const auto mk = [] { return make_lj(5.0); };
   comm::DomainConfig cfg{.dt_fs = 1.0, .skin = 1.0, .rebuild_every = 5,
                          .rebalance_every = 10};
-  cfg.staged = true;
   cfg.overlap = true;
   EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
                 .rebalances,
             1);
   cfg.overlap = false;
-  EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
-                .rebalances,
-            1);
-  cfg.staged = false;
   EXPECT_GE(run_and_check_every_step(sys, grid, mk, cfg, 25, 1e-10)
                 .rebalances,
             1);

@@ -288,8 +288,6 @@ TEST(Gang, EvalOptionsGateIncludesFittingPrecision) {
   EXPECT_TRUE(serve::same_eval_options(a, b));
   b.fitting_precision = dp::FittingPrecision::Fp32;
   EXPECT_FALSE(serve::same_eval_options(a, b));
-  b.fitting_precision = dp::FittingPrecision::Bf16;
-  EXPECT_FALSE(serve::same_eval_options(a, b));
 }
 
 TEST(Gang, ServiceCoSchedulesQueuedScores) {

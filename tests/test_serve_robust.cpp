@@ -723,5 +723,67 @@ TEST(ServeRobust, ServiceStaysLiveUnderMixedFaults) {
   EXPECT_EQ(s.completed, 2u + 8u + 2u);  // blockers + admitted + flaky/clean
 }
 
+TEST(ServeRobust, SubmitRejectsMalformedSpecs) {
+  // The JobSpec is outside input: each malformed field fails at submit with
+  // an error naming it — nothing reaches a worker — and the service keeps
+  // serving well-formed jobs afterwards.
+  auto registry = std::make_shared<serve::ModelRegistry>();
+  registry->add("m", small_model());  // ntypes = 2
+  serve::SimService service(registry, {.workers = 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  const auto expect_rejected = [&](serve::JobSpec spec, const char* what) {
+    try {
+      service.submit(std::move(spec));
+      ADD_FAILURE() << "accepted a spec with " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto bad = [&](auto&& mutate) {
+    serve::JobSpec spec = traj_spec("m", 12, 280, 3);
+    spec.v.assign(spec.x.size(), Vec3{0.01, 0.0, -0.01});
+    mutate(spec);
+    return spec;
+  };
+  expect_rejected(bad([](serve::JobSpec& s) { s.type[3] = 2; }),
+                  "atom type out of range");
+  expect_rejected(bad([](serve::JobSpec& s) { s.type[0] = -1; }),
+                  "atom type out of range");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.x[5].y = nan; }),
+                  "non-finite position");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.x[1].z = inf; }),
+                  "non-finite position");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.v[7].x = nan; }),
+                  "non-finite velocity");
+  expect_rejected(bad([](serve::JobSpec& s) { s.v.pop_back(); }),
+                  "v/x size mismatch");
+  expect_rejected(bad([](serve::JobSpec& s) { s.box = md::Box{}; }),
+                  "box needs finite hi > lo");
+  expect_rejected(bad([](serve::JobSpec& s) { s.box.hi.y = s.box.lo.y; }),
+                  "box needs finite hi > lo");
+  expect_rejected(bad([](serve::JobSpec& s) { s.box.hi.z = -1.0; }),
+                  "box needs finite hi > lo");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.box.lo.x = -inf; }),
+                  "box needs finite hi > lo");
+  expect_rejected(bad([](serve::JobSpec& s) { s.masses[1] = 0.0; }),
+                  "masses must be finite and > 0");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.masses[0] = nan; }),
+                  "masses must be finite and > 0");
+  expect_rejected(bad([&](serve::JobSpec& s) { s.dt_fs = inf; }),
+                  "dt_fs must be finite and > 0");
+  expect_rejected(bad([](serve::JobSpec& s) { s.dt_fs = 0.0; }),
+                  "dt_fs must be finite and > 0");
+  EXPECT_EQ(service.stats().submitted, 0u);
+
+  const serve::JobId good = service.submit(bad([](serve::JobSpec&) {}));
+  const serve::JobResult r = service.wait(good);
+  EXPECT_EQ(r.status, serve::JobStatus::Done) << r.error;
+  const serve::JobId score = service.submit(score_spec("m", 12, 281));
+  EXPECT_EQ(service.wait(score).status, serve::JobStatus::Done);
+}
+
 }  // namespace
 }  // namespace dpmd

@@ -1,9 +1,11 @@
 // Staged force API (ISSUE 3): the staged begin_step / compute_partition /
-// end_step path must produce the same forces, potential energy and virial
-// as the monolithic Pair::compute across every pair style — including the
-// default adapter (EAM) and the natively partitioned Deep Potential — on
-// both the single-process Sim and the distributed DomainEngine, with and
-// without exchange/compute overlap.  Plus the interior/boundary
+// end_step path the engines drive must produce the same forces, potential
+// energy and virial as a fresh monolithic Pair::compute across every pair
+// style — including the default adapter (EAM) and the natively partitioned
+// Deep Potential.  The single-process Sim is checked against a fresh
+// compute after setup and every step; the distributed DomainEngine with
+// exchange/compute overlap on and off against each other and against an
+// md::Sim run.  Plus the interior/boundary
 // classification edge cases and the new async runtime/comm primitives the
 // overlap path is built on.
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "comm/domain_engine.hpp"
 #include "core/pair_deepmd.hpp"
+#include "md/ghosts.hpp"
 #include "md/lattice.hpp"
 #include "md/pair_eam.hpp"
 #include "md/pair_lj.hpp"
@@ -80,7 +83,7 @@ TEST(Partition, EmptyBoundaryWhenAllAtomsDeepInside) {
 }
 
 // ---------------------------------------------------------------------------
-// Sim: staged == monolithic for every pair style
+// Sim: staged == fresh monolithic compute for every pair style
 // ---------------------------------------------------------------------------
 
 struct GasSystem {
@@ -113,40 +116,52 @@ GasSystem make_gas(int natoms, double box_len, double min_sep, int ntypes,
   return sys;
 }
 
-/// Runs the same system staged and monolithic; asserts forces/pe/virial of
-/// the first evaluation and the trajectory after `steps` agree.
+/// Runs the staged Sim (cadenced lists, persistent partition and env
+/// caches) and, after setup and after every step, asserts its pe, virial
+/// and forces equal a fresh monolithic pair->compute at the same positions
+/// — new ghosts, exact-cutoff lists, a new pair object.
 void expect_staged_equals_monolithic(
     const GasSystem& sys, const std::function<std::shared_ptr<md::Pair>()>& mk,
-    int steps, double ftol, double xtol) {
-  auto run = [&](bool staged) {
-    md::Atoms atoms = sys.atoms;
-    md::SimConfig cfg{.dt_fs = 0.5, .skin = 1.0, .rebuild_every = 4};
-    cfg.staged = staged;
-    return md::Sim(sys.box, std::move(atoms), sys.masses, mk(), cfg);
+    int steps, double ftol) {
+  md::Atoms start = sys.atoms;
+  md::Sim sim(sys.box, std::move(start), sys.masses, mk(),
+              {.dt_fs = 0.5, .skin = 1.0, .rebuild_every = 4});
+  sim.setup();
+  const auto check = [&](int step) {
+    md::Atoms atoms;
+    for (int i = 0; i < sim.atoms().nlocal; ++i) {
+      Vec3 p = sim.atoms().x[static_cast<std::size_t>(i)];
+      sys.box.wrap(p);
+      atoms.add_local(p, {0, 0, 0},
+                      sim.atoms().type[static_cast<std::size_t>(i)], i);
+    }
+    auto pair = mk();
+    md::build_periodic_ghosts(atoms, sys.box, pair->cutoff());
+    md::NeighborList list({pair->cutoff(), 0.0, pair->needs_full_list()});
+    list.build(atoms, sys.box);
+    atoms.zero_forces();
+    const md::ForceResult ref = pair->compute(atoms, list);
+    for (int g = 0; g < atoms.nghost; ++g) {
+      atoms.f[static_cast<std::size_t>(
+          atoms.ghost_parent[static_cast<std::size_t>(g)])] +=
+          atoms.f[static_cast<std::size_t>(atoms.nlocal + g)];
+    }
+    EXPECT_NEAR(sim.pe(), ref.pe, ftol * std::max(1.0, std::fabs(ref.pe)))
+        << "step " << step;
+    EXPECT_NEAR(sim.virial(), ref.virial,
+                ftol * std::max(1.0, std::fabs(ref.virial)))
+        << "step " << step;
+    for (int i = 0; i < sim.atoms().nlocal; ++i) {
+      const Vec3 df = sim.atoms().f[static_cast<std::size_t>(i)] -
+                      atoms.f[static_cast<std::size_t>(i)];
+      EXPECT_LT(df.norm(), ftol)
+          << "force mismatch at atom " << i << ", step " << step;
+    }
   };
-  md::Sim staged = run(true);
-  md::Sim mono = run(false);
-  staged.setup();
-  mono.setup();
-
-  ASSERT_EQ(staged.atoms().nlocal, mono.atoms().nlocal);
-  EXPECT_NEAR(staged.pe(), mono.pe(),
-              ftol * std::max(1.0, std::fabs(mono.pe())));
-  EXPECT_NEAR(staged.virial(), mono.virial(),
-              ftol * std::max(1.0, std::fabs(mono.virial())));
-  for (int i = 0; i < staged.atoms().nlocal; ++i) {
-    const Vec3 df = staged.atoms().f[static_cast<std::size_t>(i)] -
-                    mono.atoms().f[static_cast<std::size_t>(i)];
-    EXPECT_LT(df.norm(), ftol) << "force mismatch at atom " << i;
-  }
-
-  staged.run(steps);
-  mono.run(steps);
-  for (int i = 0; i < staged.atoms().nlocal; ++i) {
-    const Vec3 dx = sys.box.minimum_image(
-        staged.atoms().x[static_cast<std::size_t>(i)],
-        mono.atoms().x[static_cast<std::size_t>(i)]);
-    EXPECT_LT(dx.norm(), xtol) << "trajectory mismatch at atom " << i;
+  check(0);
+  for (int s = 1; s <= steps; ++s) {
+    sim.step();
+    check(s);
   }
 }
 
@@ -159,7 +174,7 @@ TEST(StagedSim, LjMatchesMonolithic) {
         p->set_pair(0, 0, 0.0104, 3.4);
         return p;
       },
-      12, 1e-11, 1e-9);
+      12, 1e-11);
 }
 
 TEST(StagedSim, MorseMatchesMonolithic) {
@@ -171,7 +186,7 @@ TEST(StagedSim, MorseMatchesMonolithic) {
         p->set_pair(0, 0, 0.05, 1.5, 2.8);
         return p;
       },
-      12, 1e-11, 1e-9);
+      12, 1e-11);
 }
 
 TEST(StagedSim, EamDefaultAdapterMatchesMonolithic) {
@@ -180,14 +195,13 @@ TEST(StagedSim, EamDefaultAdapterMatchesMonolithic) {
   // compute() after the ghost refresh.  Identical math, identical result.
   const GasSystem sys = make_gas(80, 20.0, 3.2, 1, 50.0, 17);
   expect_staged_equals_monolithic(
-      sys, [] { return std::make_shared<md::PairEamSC>(); }, 10, 1e-11, 1e-9);
+      sys, [] { return std::make_shared<md::PairEamSC>(); }, 10, 1e-11);
 }
 
 TEST(StagedSim, WaterRefMatchesMonolithic) {
   const GasSystem sys = make_gas(96, 18.0, 1.6, 2, 120.0, 19);
   expect_staged_equals_monolithic(
-      sys, [] { return std::make_shared<md::PairWaterRef>(); }, 10, 1e-11,
-      1e-9);
+      sys, [] { return std::make_shared<md::PairWaterRef>(); }, 10, 1e-11);
 }
 
 std::shared_ptr<dp::DPModel> small_dp_model(uint64_t seed) {
@@ -212,10 +226,10 @@ TEST(StagedSim, DpPerAtomMatchesMonolithic) {
       sys,
       [&] {
         dp::EvalOptions opts;
-        opts.block_size = 1;  // legacy per-atom oracle path
+        opts.block_size = 1;  // per-atom oracle path
         return std::make_shared<dp::PairDeepMD>(model, opts);
       },
-      6, 1e-9, 1e-8);
+      6, 1e-9);
 }
 
 TEST(StagedSim, DpBatchedMatchesMonolithic) {
@@ -228,7 +242,7 @@ TEST(StagedSim, DpBatchedMatchesMonolithic) {
         opts.block_size = 16;  // partitions split into batched blocks
         return std::make_shared<dp::PairDeepMD>(model, opts);
       },
-      6, 1e-9, 1e-8);
+      6, 1e-9);
 }
 
 TEST(StagedSim, EmptyBoundaryPartitionStillCorrect) {
@@ -265,11 +279,11 @@ TEST(StagedSim, EmptyBoundaryPartitionStillCorrect) {
   EXPECT_TRUE(sim.partition().boundary.empty());
   EXPECT_EQ(static_cast<int>(sim.partition().interior.size()),
             sim.atoms().nlocal);
-  expect_staged_equals_monolithic(sys, mk, 10, 1e-11, 1e-9);
+  expect_staged_equals_monolithic(sys, mk, 10, 1e-11);
 }
 
 // ---------------------------------------------------------------------------
-// DomainEngine: staged/overlap == legacy monolithic across ranks
+// DomainEngine: overlap on == overlap off == md::Sim across ranks
 // ---------------------------------------------------------------------------
 
 struct GlobalArrays {
@@ -287,13 +301,14 @@ GlobalArrays arrays_of(const GasSystem& sys) {
   return g;
 }
 
-/// Runs the domain engine with the given config on `grid`, returns the
-/// gathered (sorted-by-tag) atoms and the total pe after `steps`.
+/// Tag-sorted atoms and total pe of one run (engine or Sim).
 struct EngineRun {
   std::vector<comm::DomainEngine::GlobalAtom> atoms;
   double pe = 0.0;
 };
 
+/// Runs the domain engine with the given config on `grid`, returns the
+/// gathered (sorted-by-tag) atoms and the total pe after `steps`.
 EngineRun run_engine(const GasSystem& sys, const simmpi::CartGrid& grid,
                      const std::function<std::shared_ptr<md::Pair>()>& mk,
                      comm::DomainConfig cfg, int steps) {
@@ -315,6 +330,24 @@ EngineRun run_engine(const GasSystem& sys, const simmpi::CartGrid& grid,
   return out;
 }
 
+/// The single-process oracle (as in test_integration): the same trajectory
+/// on md::Sim, rebuilding every step like the engine's default cadence.
+EngineRun run_sim(const GasSystem& sys, std::shared_ptr<md::Pair> pair,
+                  double dt_fs, int steps) {
+  md::Atoms atoms = sys.atoms;
+  md::Sim sim(sys.box, std::move(atoms), sys.masses, std::move(pair),
+              {.dt_fs = dt_fs, .skin = 0.0, .rebuild_every = 1});
+  sim.run(steps);
+  EngineRun out;
+  for (int i = 0; i < sim.atoms().nlocal; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    out.atoms.push_back({sim.atoms().tag[k], sim.atoms().x[k],
+                         sim.atoms().v[k], sim.atoms().f[k]});
+  }
+  out.pe = sim.pe();
+  return out;
+}
+
 void expect_runs_equal(const GasSystem& sys, const EngineRun& a,
                        const EngineRun& b, double tol) {
   ASSERT_EQ(a.atoms.size(), b.atoms.size());
@@ -328,7 +361,16 @@ void expect_runs_equal(const GasSystem& sys, const EngineRun& a,
   }
 }
 
-TEST(StagedDomainEngine, LjStagedAndOverlapMatchLegacy) {
+/// Overlap on vs off, and each against the md::Sim oracle.
+void expect_schedules_match_sim(const GasSystem& sys, const EngineRun& on,
+                                const EngineRun& off, const EngineRun& sim,
+                                double tol) {
+  expect_runs_equal(sys, on, off, tol);
+  expect_runs_equal(sys, on, sim, tol);
+  expect_runs_equal(sys, off, sim, tol);
+}
+
+TEST(StagedDomainEngine, LjOverlapOnAndOffMatchSim) {
   const GasSystem sys = make_gas(160, 24.0, 2.9, 1, 60.0, 37);
   const simmpi::CartGrid grid(2, 2, 2);
   auto mk = [] {
@@ -336,17 +378,14 @@ TEST(StagedDomainEngine, LjStagedAndOverlapMatchLegacy) {
     p->set_pair(0, 0, 0.0104, 3.4);
     return p;
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 1.0, .staged = false}, 15);
-  const EngineRun seq = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = false}, 15);
-  const EngineRun ovl = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = true}, 15);
-  expect_runs_equal(sys, seq, legacy, 1e-9);
-  expect_runs_equal(sys, ovl, legacy, 1e-9);
+  const EngineRun off =
+      run_engine(sys, grid, mk, {.dt_fs = 1.0, .overlap = false}, 15);
+  const EngineRun on =
+      run_engine(sys, grid, mk, {.dt_fs = 1.0, .overlap = true}, 15);
+  expect_schedules_match_sim(sys, on, off, run_sim(sys, mk(), 1.0, 15), 1e-9);
 }
 
-TEST(StagedDomainEngine, MorseOverlapMatchesLegacy) {
+TEST(StagedDomainEngine, MorseOverlapOnAndOffMatchSim) {
   const GasSystem sys = make_gas(120, 22.0, 2.6, 1, 120.0, 41);
   const simmpi::CartGrid grid(2, 1, 1);
   auto mk = [] {
@@ -354,14 +393,14 @@ TEST(StagedDomainEngine, MorseOverlapMatchesLegacy) {
     p->set_pair(0, 0, 0.05, 1.5, 2.6);
     return p;
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 1.0, .staged = false}, 20);
-  const EngineRun ovl = run_engine(
-      sys, grid, mk, {.dt_fs = 1.0, .staged = true, .overlap = true}, 20);
-  expect_runs_equal(sys, ovl, legacy, 1e-9);
+  const EngineRun off =
+      run_engine(sys, grid, mk, {.dt_fs = 1.0, .overlap = false}, 20);
+  const EngineRun on =
+      run_engine(sys, grid, mk, {.dt_fs = 1.0, .overlap = true}, 20);
+  expect_schedules_match_sim(sys, on, off, run_sim(sys, mk(), 1.0, 20), 1e-9);
 }
 
-TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesLegacy) {
+TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesSim) {
   // The real overlap configuration: batched Deep Potential blocks launched
   // async on pool workers while the driver thread runs the halo exchange.
   GasSystem sys = make_gas(96, 19.0, 1.8, 2, 60.0, 43);
@@ -383,20 +422,20 @@ TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesLegacy) {
   }
 
   const GlobalArrays g = arrays_of(sys);
-  EngineRun legacy, ovl;
+  EngineRun seq, ovl;
   std::mutex mu;
   simmpi::run_world(grid.size(), [&](simmpi::Rank& rank) {
     rt::ThreadPool* pool = pools[static_cast<std::size_t>(rank.rank())].get();
-    // Legacy monolithic reference (serial pair, same math).
+    // Sequential schedule (serial pair, same math).
     comm::DomainEngine ref(rank, grid, sys.box, sys.masses,
-                           mk_with(8, nullptr)(), {.dt_fs = 0.5,
-                                                   .staged = false});
+                           mk_with(8, nullptr)(),
+                           {.dt_fs = 0.5, .overlap = false});
     ref.seed(g.x, g.v, g.type);
     ref.run(4);
-    // Staged + overlap with async pool submission.
+    // Overlap with async pool submission.
     comm::DomainEngine eng(rank, grid, sys.box, sys.masses,
                            mk_with(8, pool)(),
-                           {.dt_fs = 0.5, .staged = true, .overlap = true});
+                           {.dt_fs = 0.5, .overlap = true});
     eng.seed(g.x, g.v, g.type);
     eng.run(4);
     const auto ref_all = ref.gather_all();
@@ -405,16 +444,18 @@ TEST(StagedDomainEngine, DpBatchedOverlapWithPoolMatchesLegacy) {
     const double eng_pe = eng.total_pe();
     if (rank.rank() == 0) {
       std::lock_guard lock(mu);
-      legacy.atoms = ref_all;
-      legacy.pe = ref_pe;
+      seq.atoms = ref_all;
+      seq.pe = ref_pe;
       ovl.atoms = eng_all;
       ovl.pe = eng_pe;
     }
   });
-  expect_runs_equal(sys, ovl, legacy, 1e-7);
+  expect_schedules_match_sim(sys, ovl, seq,
+                             run_sim(sys, mk_with(8, nullptr)(), 0.5, 4),
+                             1e-7);
 }
 
-TEST(StagedDomainEngine, DpPerAtomStagedMatchesLegacy) {
+TEST(StagedDomainEngine, DpPerAtomOverlapOnAndOffMatchSim) {
   GasSystem sys = make_gas(72, 19.0, 1.8, 2, 60.0, 53);
   auto model = small_dp_model(59);
   const simmpi::CartGrid grid(2, 1, 1);
@@ -423,11 +464,11 @@ TEST(StagedDomainEngine, DpPerAtomStagedMatchesLegacy) {
     opts.block_size = 1;
     return std::make_shared<dp::PairDeepMD>(model, opts);
   };
-  const EngineRun legacy =
-      run_engine(sys, grid, mk, {.dt_fs = 0.5, .staged = false}, 4);
-  const EngineRun stg = run_engine(
-      sys, grid, mk, {.dt_fs = 0.5, .staged = true, .overlap = true}, 4);
-  expect_runs_equal(sys, stg, legacy, 1e-7);
+  const EngineRun off =
+      run_engine(sys, grid, mk, {.dt_fs = 0.5, .overlap = false}, 4);
+  const EngineRun on =
+      run_engine(sys, grid, mk, {.dt_fs = 0.5, .overlap = true}, 4);
+  expect_schedules_match_sim(sys, on, off, run_sim(sys, mk(), 0.5, 4), 1e-7);
 }
 
 // ---------------------------------------------------------------------------
